@@ -7,9 +7,10 @@
 //	z_i = (z̄_i + c_i + R_i(s̄_b))/D − c_i − R_i(s_b),
 //
 // and the budget equality determines the single unknown D, found here by
-// bisection on the monotone power-versus-D curve. A binary search over
-// the M candidate bus times (D is unimodal in s_b for the convex
-// program) yields the full solution.
+// a bracketed, derivative-guided root-find on the monotone
+// power-versus-D curve (Solver.solveBudget). A binary search over the M
+// candidate bus times (D is unimodal in s_b for the convex program)
+// yields the full solution.
 //
 // Times are nanoseconds, powers are watts, frequencies appear only as
 // normalized scaling factors.
@@ -69,7 +70,13 @@ func (in *Inputs) maxZ(i int) float64 {
 	return in.MaxZRatio
 }
 
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // Validate reports the first structural problem with the inputs, or nil.
+// Every number the root-find consumes must be finite: a NaN counter
+// compares false with everything, so it would pass the range checks and
+// come back as a NaN frequency.
 func (in *Inputs) Validate() error {
 	n := len(in.ZBar)
 	if n == 0 {
@@ -82,20 +89,32 @@ func (in *Inputs) Validate() error {
 		return fmt.Errorf("fastcap: %d core power models, want %d", len(in.Power.Cores), n)
 	}
 	for i := 0; i < n; i++ {
-		if in.ZBar[i] <= 0 {
-			return fmt.Errorf("fastcap: core %d has non-positive think time %g", i, in.ZBar[i])
+		if in.ZBar[i] <= 0 || !finite(in.ZBar[i]) {
+			return fmt.Errorf("fastcap: core %d has non-positive or non-finite think time %g", i, in.ZBar[i])
 		}
-		if in.C[i] < 0 {
-			return fmt.Errorf("fastcap: core %d has negative cache time", i)
+		if in.C[i] < 0 || !finite(in.C[i]) {
+			return fmt.Errorf("fastcap: core %d has negative or non-finite cache time %g", i, in.C[i])
+		}
+		if !in.Power.Cores[i].Valid() {
+			return fmt.Errorf("fastcap: core %d has invalid power model %v", i, in.Power.Cores[i])
 		}
 	}
-	if in.SbBar <= 0 {
-		return fmt.Errorf("fastcap: non-positive SbBar")
+	if !in.Power.Mem.Valid() {
+		return fmt.Errorf("fastcap: invalid memory power model %v", in.Power.Mem)
+	}
+	if !finite(in.Power.Ps) {
+		return fmt.Errorf("fastcap: non-finite system power %g", in.Power.Ps)
+	}
+	if in.SbBar <= 0 || !finite(in.SbBar) {
+		return fmt.Errorf("fastcap: non-positive or non-finite SbBar %g", in.SbBar)
 	}
 	if len(in.SbCandidates) == 0 {
 		return fmt.Errorf("fastcap: no bus time candidates")
 	}
 	for i, sb := range in.SbCandidates {
+		if !finite(sb) {
+			return fmt.Errorf("fastcap: candidate %d is non-finite (%g)", i, sb)
+		}
 		if sb < in.SbBar-1e-9 {
 			return fmt.Errorf("fastcap: candidate %d (%g) below SbBar %g", i, sb, in.SbBar)
 		}
@@ -112,11 +131,11 @@ func (in *Inputs) Validate() error {
 				return fmt.Errorf("fastcap: core %d MaxZRatio %g < 1", i, r)
 			}
 		}
-	} else if in.MaxZRatio < 1 {
+	} else if math.IsNaN(in.MaxZRatio) || in.MaxZRatio < 1 {
 		return fmt.Errorf("fastcap: MaxZRatio %g < 1", in.MaxZRatio)
 	}
-	if in.Budget <= 0 {
-		return fmt.Errorf("fastcap: non-positive budget")
+	if in.Budget <= 0 || !finite(in.Budget) {
+		return fmt.Errorf("fastcap: non-positive or non-finite budget %g", in.Budget)
 	}
 	if in.Response == nil {
 		return fmt.Errorf("fastcap: nil Response")
@@ -176,13 +195,27 @@ func zOfD(zBar, c, rMin, r, d, maxZRatio float64) float64 {
 	return z
 }
 
-// Solver carries reusable scratch for Solve/SolveExhaustive/Quantize so
-// repeated invocations (one per epoch per policy) allocate only the
-// result slices that escape to the caller. The zero value is ready to
-// use; a Solver must not be used concurrently.
+// coreTerm is one core's share of the budget equality in the form the
+// power sweep consumes: Eq. 8 reads z = a/D − b with a = z̄+c+R(s̄_b)
+// fixed per Solve and b = c+R(s_b) fixed per candidate, and a core
+// clamped at either end of its ladder contributes a constant.
+type coreTerm struct {
+	a, b        float64
+	zBar, zMax  float64 // realizable think-time range [z̄, z̄·maxZ]
+	peak, floor float64 // power at z̄ (x = 1) and at z_max
+	m           power.Model
+}
+
+// Solver carries reusable scratch for Solve/SolveExhaustive/SolveGrouped/
+// Quantize so repeated invocations (one per epoch per policy) allocate
+// only the result slices that escape to the caller. The zero value is
+// ready to use; a Solver must not be used concurrently.
 type Solver struct {
-	r      []float64   // R_i at the candidate sb being probed
-	rMin   []float64   // R_i at SbBar (fixed per Solve call)
+	terms    []coreTerm // per-core sweep constants; b is the probed candidate's
+	all      []int      // 0..N-1, the global constraint's core list
+	dLo, dHi float64    // the probed candidate's D bracket
+	sweeps   int        // power sweeps so far, for the cost tests
+
 	sols   []dSolution // per-candidate memo
 	probed []bool
 	num    []float64    // quantization guard: per-core T_min numerators
@@ -205,14 +238,28 @@ type Solver struct {
 	warmM   int
 }
 
-// prepare sizes the scratch and evaluates the per-core minimum response
-// times, which do not depend on the candidate.
+// prepare sizes the scratch and fills the per-core constants that do not
+// depend on the candidate, among them each core's floor power — the only
+// place a Solve evaluates the power model outside the sweep.
 func (s *Solver) prepare(in *Inputs) {
 	n, m := len(in.ZBar), len(in.SbCandidates)
-	s.r = growF(s.r, n)
-	s.rMin = growF(s.rMin, n)
-	for i := 0; i < n; i++ {
-		s.rMin[i] = in.Response(i, in.SbBar)
+	if cap(s.terms) < n {
+		s.terms = make([]coreTerm, n)
+		s.all = make([]int, n)
+		for i := range s.all {
+			s.all[i] = i
+		}
+	}
+	s.terms, s.all = s.terms[:n], s.all[:n]
+	for i := range s.terms {
+		zBar, pm := in.ZBar[i], in.Power.Cores[i]
+		zMax := zBar * in.maxZ(i)
+		s.terms[i] = coreTerm{
+			a:    zBar + in.C[i] + in.Response(i, in.SbBar),
+			zBar: zBar, zMax: zMax,
+			peak: pm.Peak(), floor: pm.At(zBar / zMax),
+			m: pm,
+		}
 	}
 	if cap(s.sols) < m {
 		s.sols = make([]dSolution, m)
@@ -234,78 +281,128 @@ func growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// solveForSb computes the optimal D for one fixed sb via bisection on
-// the budget equality (Theorem 1). It runs in O(N) per bisection step
-// and does not allocate: response times live in the solver scratch and
-// think times are materialized only for the winning candidate.
-func (s *Solver) solveForSb(in *Inputs, sbIdx int) dSolution {
+// setCandidate loads candidate sbIdx into the sweep constants and sets
+// the D bracket every constraint at this bus time is solved on. At dHi
+// the most constrained core reaches z̄, so no larger D satisfies its
+// fairness constraint; at dLo the last core reaches its z_max, so the
+// power there is the sum of the floor constants.
+func (s *Solver) setCandidate(in *Inputs, sbIdx int) {
 	sb := in.SbCandidates[sbIdx]
-	n := len(in.ZBar)
-	r, rMin := s.r[:n], s.rMin[:n]
-	for i := 0; i < n; i++ {
-		r[i] = in.Response(i, sb)
-	}
-	xm := in.SbBar / sb
-
-	powerOnly := func(d float64) float64 {
-		p := in.Power.Ps + in.Power.Mem.At(xm)
-		for i := 0; i < n; i++ {
-			z := zOfD(in.ZBar[i], in.C[i], rMin[i], r[i], d, in.maxZ(i))
-			p += in.Power.Cores[i].At(in.ZBar[i] / z)
-		}
-		return p
-	}
-
-	// dHi: the largest meaningful D — every core at maximum frequency
-	// (z_i = z̄_i). dLo: every core clamped at minimum frequency.
 	dHi, dLo := math.Inf(1), math.Inf(1)
-	for i := 0; i < n; i++ {
-		tMin := in.ZBar[i] + in.C[i] + rMin[i]
-		dHi = math.Min(dHi, tMin/(in.ZBar[i]+in.C[i]+r[i]))
-		dLo = math.Min(dLo, tMin/(in.ZBar[i]*in.maxZ(i)+in.C[i]+r[i]))
+	for i := range s.terms {
+		t := &s.terms[i]
+		r := in.Response(i, sb)
+		t.b = in.C[i] + r
+		dHi = math.Min(dHi, t.a/(in.ZBar[i]+in.C[i]+r))
+		dLo = math.Min(dLo, t.a/(t.zMax+in.C[i]+r))
 	}
-	if dLo < dFloor {
-		dLo = dFloor
-	}
+	s.dHi, s.dLo = dHi, math.Max(dLo, dFloor)
+}
 
-	if pHi := powerOnly(dHi); pHi <= in.Budget+budgetTol {
-		// Budget does not bind: run everything at maximum frequency.
-		return dSolution{d: dHi, pw: pHi, feasible: true}
+// sweep is the one O(N) pass of the inner solve: the summed power p of
+// the listed cores at objective d, the part v of it that moves with d
+// (the dynamic power of the unclamped cores), and dv = dp/d(ln d). A
+// core clamped at z̄ or z_max adds its constant and no slope; an
+// unclamped one has x = z̄/z strictly inside (0, 1) and
+// d(ln x)/d(ln D) = a/(z·D), so the power kernel's log-slope gives the
+// derivative without a second transcendental.
+func (s *Solver) sweep(cores []int, d float64) (p, v, dv float64) {
+	s.sweeps++
+	for _, i := range cores {
+		t := &s.terms[i]
+		q := t.a / d
+		z := q - t.b
+		switch {
+		case z <= t.zBar:
+			p += t.peak
+		case z >= t.zMax:
+			p += t.floor
+		default:
+			w, slope := t.m.DynamicSlope(t.zBar / z)
+			p += t.m.Static
+			v += w
+			dv += slope * q / z
+		}
 	}
-	pLo := powerOnly(dLo)
-	if pLo > in.Budget+budgetTol {
+	return p + v, v, dv
+}
+
+// solveBudget returns the largest D on the candidate's bracket at which
+// the listed cores plus the constant base draw at most budget: the
+// budget equality of Theorem 1 when it binds. feasible is false when
+// even dLo exceeds the budget.
+//
+// power(D) is nondecreasing and piecewise smooth (one kink per clamp),
+// and between kinks its moving part v is close to a power law in D. The
+// root is therefore found by Newton steps in log-log coordinates — from
+// the last evaluated point x, D' = x·(v'/v)^(v/dv) reaches the moving
+// power v' the budget leaves room for, exactly so for a true power law —
+// kept strictly inside a maintained bracket [lo, hi] with power(lo) ≤
+// budget < power(hi), and replaced by the midpoint when they leave it,
+// when nothing moves at x (every core clamped), or when the previous
+// step failed to halve the residual. Steps aim half a budgetTol below
+// the root so the iteration ends from below: the returned d has
+// power(d) ≤ budget, and power(d) > budget − budgetTol unless the
+// bracket collapsed or dRootIters ran out first. The starting point is
+// dHi, a function of the constraint alone — never of earlier candidates
+// or epochs — so a warm Solve and a cold one return the same bits.
+func (s *Solver) solveBudget(cores []int, base, budget float64) dSolution {
+	pHi, v, dv := s.sweep(cores, s.dHi)
+	pHi += base
+	if pHi <= budget+budgetTol {
+		// Budget does not bind: run as fast as fairness allows.
+		return dSolution{d: s.dHi, pw: pHi, feasible: true}
+	}
+	pLo := base
+	if s.dLo > dFloor {
+		for _, i := range cores {
+			pLo += s.terms[i].floor
+		}
+	} else {
+		// dLo was raised to dFloor: not every core is at its z_max there.
+		p, _, _ := s.sweep(cores, s.dLo)
+		pLo += p
+	}
+	if pLo > budget+budgetTol {
 		// Even minimum frequencies blow the budget at this sb.
-		return dSolution{d: dLo, pw: pLo, feasible: false}
+		return dSolution{d: s.dLo, pw: pLo, feasible: false}
 	}
 
-	// Solve power(D) = Budget on [dLo, dHi]. power is monotone
-	// nondecreasing in D (possibly flat where clamps bind), so a
-	// bracketed secant (Illinois) step alternated with bisection
-	// converges superlinearly while never leaving the bracket.
-	lo, hi := dLo, dHi
-	gLo := pLo - in.Budget // ≤ 0
-	gHi := powerOnly(dHi) - in.Budget
-	for it := 0; it < dRootIters && hi-lo > 1e-13*hi; it++ {
-		var mid float64
-		if it%2 == 0 && gHi-gLo > budgetTol {
-			mid = lo - gLo*(hi-lo)/(gHi-gLo) // secant through the bracket
-			if mid <= lo || mid >= hi {
-				mid = 0.5 * (lo + hi)
-			}
-		} else {
-			mid = 0.5 * (lo + hi)
+	lo, hi := s.dLo, s.dHi
+	x, g := hi, pHi-budget // the last evaluated point and its residual
+	halved := true
+	for it := 0; it < dRootIters && pLo <= budget-budgetTol && hi-lo > 1e-13*hi; it++ {
+		next := x * math.Pow(1-(g+0.5*budgetTol)/v, v/dv)
+		if !halved || !(lo < next && next < hi) { // NaN when v is 0 or the whole of v must go
+			next = 0.5 * (lo + hi)
 		}
-		g := powerOnly(mid) - in.Budget
+		var p float64
+		p, v, dv = s.sweep(cores, next)
+		p += base
+		halved = math.Abs(p-budget) <= 0.5*math.Abs(g)
+		x, g = next, p-budget
 		if g > 0 {
-			hi, gHi = mid, g
+			hi = x
 		} else {
-			lo, gLo = mid, g
-			if g > -budgetTol {
-				break // budget equality hit from below
-			}
+			lo, pLo = x, p
 		}
 	}
-	return dSolution{d: lo, pw: gLo + in.Budget, feasible: true}
+	return dSolution{d: lo, pw: pLo, feasible: true}
+}
+
+// solveForSb computes the optimal D for one fixed sb from the budget
+// equality (Theorem 1). It does not allocate: the sweep constants live in
+// the solver scratch and think times are materialized only for the
+// winning candidate.
+func (s *Solver) solveForSb(in *Inputs, sbIdx int) dSolution {
+	s.setCandidate(in, sbIdx)
+	return s.solveBudget(s.all, in.basePower(sbIdx), in.Budget)
+}
+
+// basePower is the part of full-system power that no core frequency
+// moves at candidate sbIdx: P_s and the memory subsystem.
+func (in *Inputs) basePower(sbIdx int) float64 {
+	return in.Power.Ps + in.Power.Mem.At(in.SbBar/in.SbCandidates[sbIdx])
 }
 
 // finish materializes the winning candidate's think times into a fresh
@@ -315,7 +412,7 @@ func (s *Solver) finish(in *Inputs, best dSolution, bestIdx, evals int) Result {
 	sb := in.SbCandidates[bestIdx]
 	z := make([]float64, n)
 	for i := 0; i < n; i++ {
-		z[i] = zOfD(in.ZBar[i], in.C[i], s.rMin[i], in.Response(i, sb), best.d, in.maxZ(i))
+		z[i] = zOfD(in.ZBar[i], in.C[i], in.Response(i, in.SbBar), in.Response(i, sb), best.d, in.maxZ(i))
 	}
 	return Result{
 		D:              best.d,

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,48 @@ func TestValidate(t *testing.T) {
 				t.Error("mutation accepted")
 			}
 		})
+	}
+}
+
+// NaN compares false with everything and ±Inf passes one-sided range
+// checks, so each numeric field needs its own finiteness check: a value
+// that slips through reaches the root-find and comes back as a NaN
+// frequency.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	fields := []struct {
+		name string
+		set  func(*Inputs, float64)
+		vals []float64
+	}{
+		{"ZBar", func(i *Inputs, v float64) { i.ZBar[1] = v }, []float64{nan, inf, -inf}},
+		{"C", func(i *Inputs, v float64) { i.C[1] = v }, []float64{nan, inf, -inf}},
+		{"Budget", func(i *Inputs, v float64) { i.Budget = v }, []float64{nan, inf, -inf}},
+		{"SbBar", func(i *Inputs, v float64) { i.SbBar = v }, []float64{nan, inf, -inf}},
+		{"SbCandidates", func(i *Inputs, v float64) { i.SbCandidates[len(i.SbCandidates)-1] = v }, []float64{nan, inf}},
+		{"MaxZRatio", func(i *Inputs, v float64) { i.MaxZRatio = v }, []float64{nan}},
+		{"core model Scale", func(i *Inputs, v float64) { i.Power.Cores[1].Scale = v }, []float64{nan, inf, -1}},
+		{"core model Exp", func(i *Inputs, v float64) { i.Power.Cores[1].Exp = v }, []float64{nan, inf, 0}},
+		{"core model Static", func(i *Inputs, v float64) { i.Power.Cores[1].Static = v }, []float64{nan, inf, -1}},
+		{"memory model", func(i *Inputs, v float64) { i.Power.Mem.Scale = v }, []float64{nan, inf, -1}},
+		{"Ps", func(i *Inputs, v float64) { i.Power.Ps = v }, []float64{nan, inf, -inf}},
+	}
+	for _, f := range fields {
+		for _, v := range f.vals {
+			in := testInputs(4, 0.6)
+			f.set(in, v)
+			err := in.Validate()
+			if err == nil {
+				t.Errorf("%s = %g accepted", f.name, v)
+				continue
+			}
+			if !strings.HasPrefix(err.Error(), "fastcap: ") {
+				t.Errorf("%s = %g: error %q lacks the fastcap: prefix", f.name, v, err)
+			}
+			if _, err := in.Solve(); err == nil {
+				t.Errorf("%s = %g: Solve accepted what Validate rejects", f.name, v)
+			}
+		}
 	}
 }
 

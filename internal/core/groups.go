@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BudgetGroup is a per-processor (socket/voltage-island) power budget:
 // the cores in Cores may jointly draw at most Budget watts. The paper's
@@ -22,8 +19,8 @@ func validateGroups(groups []BudgetGroup, n int) error {
 		if len(g.Cores) == 0 {
 			return fmt.Errorf("fastcap: group %d has no cores", gi)
 		}
-		if g.Budget <= 0 {
-			return fmt.Errorf("fastcap: group %d has non-positive budget", gi)
+		if g.Budget <= 0 || !finite(g.Budget) {
+			return fmt.Errorf("fastcap: group %d has non-positive or non-finite budget %g", gi, g.Budget)
 		}
 		for _, c := range g.Cores {
 			if c < 0 || c >= n {
@@ -59,116 +56,51 @@ func (in *GroupedInputs) Validate() error {
 // For a fixed s_b every constraint's left-hand side is monotone
 // nondecreasing in D (larger D → faster cores → more power), so the
 // feasible objective is D* = min(D_global, min_g D_g) where each D_c
-// solves its own budget equality; the group solves reuse the same
-// bracketed bisection as the global one, keeping the per-candidate cost
-// O((G+1)·N) and the whole algorithm O((G+1)·N·log M).
+// solves its own budget equality; the group solves run the same
+// root-find as the global one over the group's cores, keeping the
+// per-candidate cost O((G+1)·N) and the whole algorithm O((G+1)·N·M).
 func (in *GroupedInputs) Solve() (Result, error) {
+	var s Solver
+	return s.SolveGrouped(in)
+}
+
+// SolveGrouped is GroupedInputs.Solve using the solver's scratch.
+func (s *Solver) SolveGrouped(in *GroupedInputs) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
 	if len(in.Groups) == 0 {
-		return in.Inputs.Solve()
+		return s.Solve(&in.Inputs)
 	}
-	evals := 0
-	probe := func(idx int) (dSolution, []float64) {
-		evals++
-		return in.solveGroupedForSb(idx)
-	}
-	// The same unimodal bisection as the ungrouped Solve; the candidate
-	// count M is small so we simply scan — group constraints can flatten
-	// the objective and plain scanning is robust to ties.
-	best, bestZ := probe(0)
+	s.prepare(&in.Inputs)
+	// The candidate count M is small so we simply scan — group
+	// constraints can flatten the objective and plain scanning is robust
+	// to ties.
+	best := s.solveGroupedForSb(in, 0)
 	bestIdx := 0
 	for i := 1; i < len(in.SbCandidates); i++ {
-		if s, z := probe(i); betterThan(s, best) {
-			best, bestZ, bestIdx = s, z, i
+		if sol := s.solveGroupedForSb(in, i); betterThan(sol, best) {
+			best, bestIdx = sol, i
 		}
 	}
-	return Result{
-		D:              best.d,
-		Z:              bestZ,
-		Sb:             in.SbCandidates[bestIdx],
-		SbIndex:        bestIdx,
-		PredictedPower: best.pw,
-		Feasible:       best.feasible,
-		Evals:          evals,
-	}, nil
+	return s.finish(&in.Inputs, best, bestIdx, len(in.SbCandidates)), nil
 }
 
 // solveGroupedForSb solves the D maximization at one bus time under the
-// global and all group constraints, returning the solution and its
-// materialized think times.
-func (in *GroupedInputs) solveGroupedForSb(sbIdx int) (dSolution, []float64) {
-	sb := in.SbCandidates[sbIdx]
-	n := len(in.ZBar)
-	r := make([]float64, n)
-	rMin := make([]float64, n)
-	for i := 0; i < n; i++ {
-		r[i] = in.Response(i, sb)
-		rMin[i] = in.Response(i, in.SbBar)
-	}
-	xm := in.SbBar / sb
-
-	zAt := func(i int, d float64) float64 {
-		return zOfD(in.ZBar[i], in.C[i], rMin[i], r[i], d, in.maxZ(i))
-	}
-	globalPower := func(d float64) float64 {
-		p := in.Power.Ps + in.Power.Mem.At(xm)
-		for i := 0; i < n; i++ {
-			p += in.Power.Cores[i].At(in.ZBar[i] / zAt(i, d))
-		}
-		return p
-	}
-	groupPower := func(g BudgetGroup, d float64) float64 {
-		p := 0.0
-		for _, i := range g.Cores {
-			p += in.Power.Cores[i].At(in.ZBar[i] / zAt(i, d))
-		}
-		return p
-	}
-
-	dHi, dLo := math.Inf(1), math.Inf(1)
-	for i := 0; i < n; i++ {
-		tMin := in.ZBar[i] + in.C[i] + rMin[i]
-		dHi = math.Min(dHi, tMin/(in.ZBar[i]+in.C[i]+r[i]))
-		dLo = math.Min(dLo, tMin/(in.ZBar[i]*in.maxZ(i)+in.C[i]+r[i]))
-	}
-	if dLo < dFloor {
-		dLo = dFloor
-	}
-
-	// solveConstraint returns the largest D ∈ [dLo, dHi] with
-	// power(D) ≤ budget, and whether even dLo violates the budget.
-	solveConstraint := func(power func(float64) float64, budget float64) (float64, bool) {
-		if power(dHi) <= budget+budgetTol {
-			return dHi, true
-		}
-		if power(dLo) > budget+budgetTol {
-			return dLo, false
-		}
-		lo, hi := dLo, dHi
-		for it := 0; it < dRootIters && hi-lo > 1e-13*hi; it++ {
-			mid := 0.5 * (lo + hi)
-			if power(mid) > budget {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		return lo, true
-	}
-
-	d, feasible := solveConstraint(globalPower, in.Budget)
+// global and all group constraints.
+func (s *Solver) solveGroupedForSb(in *GroupedInputs, sbIdx int) dSolution {
+	sol := s.solveForSb(&in.Inputs, sbIdx)
+	bound := false // whether a group constraint lowered D below the global solution
 	for _, g := range in.Groups {
-		dg, ok := solveConstraint(func(dd float64) float64 { return groupPower(g, dd) }, g.Budget)
-		if dg < d {
-			d = dg
+		sg := s.solveBudget(g.Cores, 0, g.Budget)
+		if sg.d < sol.d {
+			sol.d, bound = sg.d, true
 		}
-		feasible = feasible && ok
+		sol.feasible = sol.feasible && sg.feasible
 	}
-	z := make([]float64, n)
-	for i := 0; i < n; i++ {
-		z[i] = zAt(i, d)
+	if bound {
+		pw, _, _ := s.sweep(s.all, sol.d)
+		sol.pw = pw + in.basePower(sbIdx)
 	}
-	return dSolution{d: d, pw: globalPower(d), feasible: feasible}, z
+	return sol
 }

@@ -16,9 +16,9 @@ type GroupedFastCap struct {
 	Guard  bool
 	Groups []core.BudgetGroup
 
-	// solver carries guard scratch across Decide calls (one instance
-	// drives one run), matching the solveScratch reuse of the other
-	// FastCap-family policies.
+	// solver carries solve and guard scratch across Decide calls (one
+	// instance drives one run), matching the solveScratch reuse of the
+	// other FastCap-family policies.
 	solver core.Solver
 }
 
@@ -41,7 +41,7 @@ func (p *GroupedFastCap) Decide(s *Snapshot) (Decision, error) {
 		Inputs: *s.inputs(core.SbCandidatesFromLadder(s.SbBar, s.MemLadder)),
 		Groups: p.Groups,
 	}
-	res, err := gi.Solve()
+	res, err := p.solver.SolveGrouped(gi)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -49,7 +49,7 @@ func (p *GroupedFastCap) Decide(s *Snapshot) (Decision, error) {
 	if s.heterogeneous() {
 		a = p.solver.QuantizePerCore(&gi.Inputs, res, s.CoreLadders, s.MemLadder, p.Guard)
 	} else {
-		a = gi.Quantize(res, s.CoreLadder, s.MemLadder, p.Guard)
+		a = p.solver.Quantize(&gi.Inputs, res, s.CoreLadder, s.MemLadder, p.Guard)
 	}
 	if p.Guard {
 		p.enforceGroups(s, a.CoreSteps)

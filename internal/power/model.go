@@ -38,6 +38,18 @@ func (m Model) At(x float64) float64 {
 // Dynamic returns only the frequency-dependent portion at x.
 func (m Model) Dynamic(x float64) float64 { return m.At(x) - m.Static }
 
+// DynamicSlope is the kernel of the optimizer's fused power sweep: for a
+// normalized frequency strictly inside (0, 1) it returns the dynamic
+// term w = Scale·x^Exp and its log-slope x·dw/dx = Exp·w, which a caller
+// that knows dx/dD turns into a derivative with no further
+// transcendental. x is positive and finite by contract, so the power is
+// exp(Exp·ln x) without math.Pow's special-case, Frexp and Ldexp work;
+// the two agree to a few ulp.
+func (m Model) DynamicSlope(x float64) (w, slope float64) {
+	w = m.Scale * math.Exp(m.Exp*math.Log(x))
+	return w, m.Exp * w
+}
+
 // Peak returns the model's power at maximum frequency.
 func (m Model) Peak() float64 { return m.Scale + m.Static }
 
@@ -56,10 +68,14 @@ func (m Model) String() string {
 	return fmt.Sprintf("%.3g·x^%.3g + %.3g W", m.Scale, m.Exp, m.Static)
 }
 
-// sample is one observed (normalized frequency, measured dynamic power) pair.
+// sample is one observed (normalized frequency, measured dynamic power)
+// pair, with the logarithms the fit works in taken once, when the sample
+// is stored, rather than on every Model call.
 type sample struct {
-	x float64 // normalized frequency in (0, 1]
-	p float64 // measured dynamic (static-subtracted) power, W
+	x  float64 // normalized frequency in (0, 1]
+	p  float64 // measured dynamic (static-subtracted) power, W
+	lx float64 // ln x
+	lp float64 // ln p
 }
 
 // Fitter re-estimates Scale and Exp online from recent observations, as
@@ -125,18 +141,26 @@ func (f *Fitter) Observe(x, totalPower float64) {
 		return
 	}
 	const sameFreqTol = 1e-3
+	s := sample{x: x, p: dyn, lx: math.Log(x), lp: math.Log(dyn)}
+	// s takes the place of the sample at the same frequency, or of the
+	// oldest one once keep distinct frequencies are held, and goes to the
+	// back (most recent).
+	drop := len(f.history)
 	for i := range f.history {
 		if math.Abs(f.history[i].x-x) < sameFreqTol {
-			// Replace in place but move to the back (most recent).
-			s := sample{x: x, p: dyn}
-			f.history = append(append(f.history[:i:i], f.history[i+1:]...), s)
-			return
+			drop = i
+			break
 		}
 	}
-	f.history = append(f.history, sample{x: x, p: dyn})
-	if len(f.history) > f.keep {
-		f.history = f.history[len(f.history)-f.keep:]
+	if drop == len(f.history) { // a frequency not held yet
+		if len(f.history) < f.keep {
+			f.history = append(f.history, s)
+			return
+		}
+		drop = 0
 	}
+	copy(f.history[drop:], f.history[drop+1:])
+	f.history[len(f.history)-1] = s
 }
 
 // Model returns the current best-fit model. With fewer than two distinct
@@ -161,12 +185,10 @@ func (f *Fitter) Model() Model {
 	var sx, sy, sxx, sxy float64
 	n := float64(len(f.history))
 	for _, s := range f.history {
-		lx := math.Log(s.x)
-		ly := math.Log(s.p)
-		sx += lx
-		sy += ly
-		sxx += lx * lx
-		sxy += lx * ly
+		sx += s.lx
+		sy += s.lp
+		sxx += s.lx * s.lx
+		sxy += s.lx * s.lp
 	}
 	den := n*sxx - sx*sx
 	if math.Abs(den) < 1e-12 {

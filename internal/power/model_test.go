@@ -276,3 +276,128 @@ func TestSystemTotalAndPeak(t *testing.T) {
 		t.Errorf("floor = %g", floor)
 	}
 }
+
+// refitFromScratch is Fitter.Model as it was before the logarithms moved
+// into Observe: every ln x and ln p recomputed from the retained samples
+// on every call. The stored logs must leave every fitted bit unchanged.
+func refitFromScratch(f *Fitter) Model {
+	switch len(f.history) {
+	case 0:
+		return f.fallback
+	case 1:
+		s := f.history[0]
+		m := Model{Scale: s.p / math.Pow(s.x, f.fallback.Exp), Exp: f.fallback.Exp, Static: f.static}
+		if !m.Valid() {
+			return f.fallback
+		}
+		return m
+	}
+	var sx, sy, sxx, sxy float64
+	n := float64(len(f.history))
+	for _, s := range f.history {
+		lx := math.Log(s.x)
+		ly := math.Log(s.p)
+		sx += lx
+		sy += ly
+		sxx += lx * lx
+		sxy += lx * ly
+	}
+	den := n*sxx - sx*sx
+	if math.Abs(den) < 1e-12 {
+		s := f.history[len(f.history)-1]
+		return Model{Scale: s.p / math.Pow(s.x, f.fallback.Exp), Exp: f.fallback.Exp, Static: f.static}
+	}
+	exp := (n*sxy - sx*sy) / den
+	if exp < f.expLo {
+		exp = f.expLo
+	} else if exp > f.expHi {
+		exp = f.expHi
+	}
+	var num, denS float64
+	for _, s := range f.history {
+		w := math.Pow(s.x, exp)
+		num += s.p * w
+		denS += w * w
+	}
+	m := Model{Scale: num / denS, Exp: exp, Static: f.static}
+	if !m.Valid() {
+		return f.fallback
+	}
+	return m
+}
+
+// Old-vs-new over random observation sequences: after every Observe the
+// model from the stored logs equals the recomputed one bit for bit, and
+// the retained history is what the append-and-trim bookkeeping kept —
+// distinct frequencies, most recent last, at most keep of them.
+func TestFitterStoredLogsBitIdentical(t *testing.T) {
+	ladder := []float64{1, 0.95, 0.9, 0.8, 0.7, 0.6, 0.55, 0.5, 0.25}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f := NewCoreFitter(0.5, 4.0)
+		if seed%2 == 0 {
+			f = NewMemFitter(10, 26)
+		}
+		var want []sample // the history rebuilt the old way
+		for step := 0; step < 200; step++ {
+			x := ladder[rng.Intn(len(ladder))]
+			switch rng.Intn(8) {
+			case 0:
+				x += 1e-4 * (rng.Float64() - 0.5) // same frequency within tolerance
+			case 1:
+				x = rng.Float64() * 1.2 // anywhere, out of range included
+			}
+			total := f.static*(0.5+rng.Float64()) + 6*rng.Float64()*math.Pow(math.Abs(x), 1+2*rng.Float64())
+			if rng.Intn(25) == 0 {
+				f.Reset()
+				want = want[:0]
+			}
+			f.Observe(x, total)
+
+			if xs, dyn := math.Min(x, 1), total-f.static; x > 0 && x <= 1+1e-9 && dyn > 0 {
+				kept := want[:0:0]
+				for _, s := range want {
+					if math.Abs(s.x-xs) >= 1e-3 {
+						kept = append(kept, s)
+					}
+				}
+				if len(kept) < len(want) {
+					want = append(kept, sample{x: xs, p: dyn})
+				} else if want = append(want, sample{x: xs, p: dyn}); len(want) > f.keep {
+					want = want[len(want)-f.keep:]
+				}
+			}
+			if len(f.history) != len(want) {
+				t.Fatalf("seed %d step %d: %d samples retained, want %d", seed, step, len(f.history), len(want))
+			}
+			for i, s := range f.history {
+				if s.x != want[i].x || s.p != want[i].p {
+					t.Fatalf("seed %d step %d: sample %d is (%g, %g), want (%g, %g)", seed, step, i, s.x, s.p, want[i].x, want[i].p)
+				}
+			}
+			got, ref := f.Model(), refitFromScratch(f)
+			if math.Float64bits(got.Scale) != math.Float64bits(ref.Scale) ||
+				math.Float64bits(got.Exp) != math.Float64bits(ref.Exp) ||
+				math.Float64bits(got.Static) != math.Float64bits(ref.Static) {
+				t.Fatalf("seed %d step %d: model %v from stored logs, %v recomputed", seed, step, got, ref)
+			}
+		}
+	}
+}
+
+// Observe is called per core per epoch: in steady state it must not
+// allocate.
+func TestFitterObserveDoesNotAllocate(t *testing.T) {
+	f := NewCoreFitter(0.5, 4.0)
+	xs := []float64{1, 0.8, 0.6, 0.5, 0.8}
+	for _, x := range xs {
+		f.Observe(x, 3)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(100, func() {
+		f.Observe(xs[i%len(xs)], 3+float64(i%7))
+		i++
+	}); avg != 0 {
+		t.Errorf("Observe allocates %.1f objects per call, want 0", avg)
+	}
+}
