@@ -303,14 +303,25 @@ func benchClusterArbitration(b *testing.B, arb cluster.Arbiter, n int) {
 			ThrottleFrac: float64(i%2) * 0.5,
 		}
 	}
+	ids := benchMemberIDs(n)
 	grants := make([]float64, n)
 	budget := 80.0 * float64(n)
-	arb.Rebalance(budget, obs, grants) // warm the scratch
+	arb.Rebalance(budget, ids, obs, grants) // warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arb.Rebalance(budget, obs, grants)
+		arb.Rebalance(budget, ids, obs, grants)
 	}
+}
+
+// benchMemberIDs names n members the way the arbitration benches key
+// them.
+func benchMemberIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m%02d", i)
+	}
+	return ids
 }
 
 func BenchmarkClusterArbitration8(b *testing.B) {
@@ -358,13 +369,14 @@ func sloObs(n int) []cluster.Observation {
 func benchSLOArbitration(b *testing.B, n int) {
 	arb := cluster.NewSLOArbiter()
 	obs := sloObs(n)
+	ids := benchMemberIDs(n)
 	grants := make([]float64, n)
 	budget := 80.0 * float64(n)
-	arb.Rebalance(budget, obs, grants) // warm the scratch
+	arb.Rebalance(budget, ids, obs, grants) // warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arb.Rebalance(budget, obs, grants)
+		arb.Rebalance(budget, ids, obs, grants)
 	}
 }
 
@@ -372,7 +384,7 @@ func BenchmarkSLOArbitration8(b *testing.B)  { benchSLOArbitration(b, 8) }
 func BenchmarkSLOArbitration64(b *testing.B) { benchSLOArbitration(b, 64) }
 
 // benchPredictiveArbitration measures the forecasting arbiter on its
-// realistic path — id-keyed RebalanceIDs, so the per-member predictor
+// only path — history keyed by member id, so the per-member predictor
 // map lookup is part of the cost. The warm-up loop runs the model past
 // WarmEpochs so the steady state measured is the forecast-driven
 // pre-allocation, not the reactive fallback. Flat names so the bench.sh
@@ -380,19 +392,16 @@ func BenchmarkSLOArbitration64(b *testing.B) { benchSLOArbitration(b, 64) }
 func benchPredictiveArbitration(b *testing.B, n int) {
 	arb := cluster.NewPredictiveArbiter()
 	obs := sloObs(n)
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("m%02d", i)
-	}
+	ids := benchMemberIDs(n)
 	grants := make([]float64, n)
 	budget := 80.0 * float64(n)
 	for i := 0; i < arb.WarmEpochs+1; i++ { // warm scratch and model
-		arb.RebalanceIDs(budget, ids, obs, grants)
+		arb.Rebalance(budget, ids, obs, grants)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arb.RebalanceIDs(budget, ids, obs, grants)
+		arb.Rebalance(budget, ids, obs, grants)
 	}
 }
 
@@ -422,20 +431,18 @@ func benchClusterMetrics() cluster.Metrics {
 }
 
 // instrumentedRebalance is one epoch-boundary rebalance plus exactly
-// the metric writes cluster.Coordinator.Step wraps around it: the
-// latency histogram, the water-fill pass counter, the epoch counter and
-// the budget/grant/draw/slack/member gauges.
-func instrumentedRebalance(arb cluster.Arbiter, rep cluster.FillPassReporter, predRep cluster.PredictionErrorReporter, met cluster.Metrics, budget float64, obs []cluster.Observation, grants []float64) {
+// the metric writes the epoch core (cluster.EpochCore) wraps around it:
+// the latency histogram, the water-fill pass counter and prediction
+// error from the round's stats, the epoch counter and the
+// budget/grant/draw/slack/member gauges.
+func instrumentedRebalance(arb cluster.Arbiter, met cluster.Metrics, budget float64, ids []string, obs []cluster.Observation, grants []float64) {
 	start := time.Now()
-	arb.Rebalance(budget, obs, grants)
+	stats := arb.Rebalance(budget, ids, obs, grants)
 	met.ArbitrationSeconds.Observe(time.Since(start).Seconds())
-	if rep != nil {
-		met.FillPasses.Add(uint64(rep.FillPasses()))
-	}
-	if predRep != nil {
-		e := predRep.PredictionErrorW()
-		met.PredictionErrW.Set(e)
-		met.PredictionAbsErrW.Observe(e)
+	met.FillPasses.Add(uint64(stats.FillPasses))
+	if stats.Forecast {
+		met.PredictionErrW.Set(stats.PredictionErrW)
+		met.PredictionAbsErrW.Observe(stats.PredictionErrW)
 	}
 	met.Epochs.Inc()
 	var draw, grant float64
@@ -453,24 +460,24 @@ func instrumentedRebalance(arb cluster.Arbiter, rep cluster.FillPassReporter, pr
 // BenchmarkClusterArbitrationInstrumented is BenchmarkClusterArbitration64
 // with the metrics recorded; the delta between the two is the whole
 // observability tax on the arbitration hot path. The handles are
-// pre-resolved atomics, so the contract is zero additional allocations —
-// enforced by TestInstrumentedArbitrationZeroAlloc, not just eyeballed.
+// pre-resolved atomics and the round's stats come back by value, so the
+// contract is zero additional allocations — enforced by
+// TestInstrumentedArbitrationZeroAlloc, not just eyeballed.
 func BenchmarkClusterArbitrationInstrumented(b *testing.B) {
 	for _, name := range []string{"static", "slack", "priority", "slo", "predictive"} {
 		arb, _ := cluster.ArbiterByName(name)
 		b.Run(name, func(b *testing.B) {
 			const n = 64
 			obs := sloObs(n)
+			ids := benchMemberIDs(n)
 			grants := make([]float64, n)
 			budget := 80.0 * n
 			met := benchClusterMetrics()
-			rep, _ := arb.(cluster.FillPassReporter)
-			predRep, _ := arb.(cluster.PredictionErrorReporter)
-			instrumentedRebalance(arb, rep, predRep, met, budget, obs, grants) // warm the scratch
+			instrumentedRebalance(arb, met, budget, ids, obs, grants) // warm the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				instrumentedRebalance(arb, rep, predRep, met, budget, obs, grants)
+				instrumentedRebalance(arb, met, budget, ids, obs, grants)
 			}
 		})
 	}
@@ -483,13 +490,12 @@ func TestInstrumentedArbitrationZeroAlloc(t *testing.T) {
 		arb, _ := cluster.ArbiterByName(name)
 		const n = 64
 		obs := sloObs(n)
+		ids := benchMemberIDs(n)
 		grants := make([]float64, n)
 		met := benchClusterMetrics()
-		rep, _ := arb.(cluster.FillPassReporter)
-		predRep, _ := arb.(cluster.PredictionErrorReporter)
-		instrumentedRebalance(arb, rep, predRep, met, 80*n, obs, grants) // warm the scratch
+		instrumentedRebalance(arb, met, 80*n, ids, obs, grants) // warm the scratch
 		if avg := testing.AllocsPerRun(200, func() {
-			instrumentedRebalance(arb, rep, predRep, met, 80*n, obs, grants)
+			instrumentedRebalance(arb, met, 80*n, ids, obs, grants)
 		}); avg != 0 {
 			t.Errorf("%s: instrumented arbitration allocates %.1f per epoch, want 0", name, avg)
 		}

@@ -406,8 +406,13 @@ type (
 	// ClusterMember is one tenant: a Session plus its arbitration
 	// parameters (id, priority weight, guaranteed floor).
 	ClusterMember = cluster.Member
-	// ClusterArbiter re-partitions the global budget each epoch.
+	// ClusterArbiter re-partitions the global budget each epoch: one
+	// id-keyed Rebalance returning ClusterRoundStats, plus Forget(id).
 	ClusterArbiter = cluster.Arbiter
+	// ClusterRoundStats is what one Rebalance round reports about itself
+	// (water-fill passes, prediction error); a custom arbiter with
+	// nothing to report returns the zero value.
+	ClusterRoundStats = cluster.RoundStats
 	// ClusterObservation is one member's epoch-boundary view (peak,
 	// floor, weight, grant, measured power, throttle signal).
 	ClusterObservation = cluster.Observation

@@ -8,14 +8,14 @@ import (
 )
 
 // ComputeGrants runs one arbitration round: arb re-partitions budgetW
-// across the members described by obs (ids names them, for error
-// reporting), and every resulting grant is clamped symmetrically into
-// [FloorW, PeakW] — the built-in arbiters already respect the bounds,
-// but Arbiter is a public seam, and a custom implementation returning
-// an out-of-range grant should lose precision, not poison the cluster.
-// Only NaN — no sane clamp — is a fatal arbiter bug, reported as a
-// runner.ErrInvalidConfig. grants[i] holds member i's next-epoch budget
-// in watts on return.
+// across the members described by obs (ids names them, for arbiter
+// history and error reporting), and every resulting grant is clamped
+// symmetrically into [FloorW, PeakW] — the built-in arbiters already
+// respect the bounds, but Arbiter is a public seam, and a custom
+// implementation returning an out-of-range grant should lose precision,
+// not poison the cluster. Only NaN — no sane clamp — is a fatal arbiter
+// bug, reported as a runner.ErrInvalidConfig. grants[i] holds member
+// i's next-epoch budget in watts on return.
 //
 // Observations are validated before the arbiter sees them: a non-finite
 // or negative-count telemetry field (a zero-duration epoch dividing
@@ -23,25 +23,24 @@ import (
 // so Inf/NaN can never reach an arbiter's state, the SLO tracker, or
 // the NDJSON stream.
 //
-// This is the single arbitration core shared by the in-process
-// Coordinator and the distributed coordinator (internal/dist): both
-// feed it identical (budgetW, obs) sequences, which is what makes the
-// remote grant stream byte-identical to the local one. Arbiters that
-// additionally implement IDRebalancer receive the member ids and can
-// key per-member state on identity rather than position.
+// The epoch core (EpochCore.Arbitrate) is the one production caller —
+// both coordinators reach the arbiter through it — and reads the
+// round's stats; ComputeGrants is the same round for callers that only
+// want the grants.
 func ComputeGrants(arb Arbiter, budgetW float64, ids []string, obs []Observation, grants []float64) error {
+	_, err := computeGrants(arb, budgetW, ids, obs, grants)
+	return err
+}
+
+func computeGrants(arb Arbiter, budgetW float64, ids []string, obs []Observation, grants []float64) (RoundStats, error) {
 	if err := ValidateObservations(ids, obs); err != nil {
-		return err
+		return RoundStats{}, err
 	}
-	if ir, ok := arb.(IDRebalancer); ok {
-		ir.RebalanceIDs(budgetW, ids, obs, grants)
-	} else {
-		arb.Rebalance(budgetW, obs, grants)
-	}
+	st := arb.Rebalance(budgetW, ids, obs, grants)
 	for i := range grants {
 		g := grants[i]
 		if math.IsNaN(g) {
-			return fmt.Errorf("%w: arbiter %q granted NaN W to member %q", runner.ErrInvalidConfig, arb.Name(), ids[i])
+			return st, fmt.Errorf("%w: arbiter %q granted NaN W to member %q", runner.ErrInvalidConfig, arb.Name(), ids[i])
 		}
 		if g < obs[i].FloorW {
 			g = obs[i].FloorW
@@ -51,7 +50,7 @@ func ComputeGrants(arb Arbiter, budgetW float64, ids []string, obs []Observation
 		}
 		grants[i] = g
 	}
-	return nil
+	return st, nil
 }
 
 // Observation is one live member's view at an epoch boundary — what the
@@ -158,23 +157,63 @@ func ValidateObservations(ids []string, obs []Observation) error {
 // obs) with member i's next-epoch budget in watts, keeping every grant
 // inside [obs[i].FloorW, obs[i].PeakW] whenever budgetW covers the sum
 // of floors, and degrading every member to exactly its floor when it
-// does not. The Coordinator clamps out-of-range grants into
+// does not. The epoch core clamps out-of-range grants into
 // [floor, peak] defensively — a sloppy custom arbiter loses precision,
 // not the cluster — but a NaN grant is a fatal arbiter bug.
 //
+// This is the whole arbiter contract: one id-keyed round plus the
+// per-member lifecycle hook. The epoch core is its only production
+// caller, so there are no optional side interfaces to discover — what
+// a round has to say about itself it returns as RoundStats.
+//
 // Ownership follows the policy.Policy contract: an instance may keep
-// scratch between Rebalance calls, so use one instance per Coordinator
-// and never share instances across concurrent clusters. Rebalance must
-// be deterministic in (budgetW, obs) — the cluster's bit-identical
-// stream guarantee rests on it — and is expected to run in O(len(obs))
-// with no steady-state allocations.
+// scratch and per-member history between Rebalance calls, so use one
+// instance per coordinator and never share instances across concurrent
+// clusters. Rebalance must be deterministic in the sequence of
+// (budgetW, ids, obs) it has seen — the cluster's bit-identical stream
+// guarantee rests on it — and is expected to run in O(len(obs)) with no
+// steady-state allocations.
 type Arbiter interface {
 	// Name labels the arbiter in records and tables.
 	Name() string
 	// Rebalance fills grants with next-epoch budgets for the members
-	// described by obs. len(grants) == len(obs); both may be empty.
-	Rebalance(budgetW float64, obs []Observation, grants []float64)
+	// described by obs and reports the round's stats. ids[i] names
+	// obs[i]: history-keeping arbiters key per-member state on it, so
+	// state survives the positional churn of attach/detach; stateless
+	// arbiters ignore it. len(ids) == len(obs) == len(grants); all may
+	// be empty.
+	Rebalance(budgetW float64, ids []string, obs []Observation, grants []float64) RoundStats
+	// Forget drops whatever per-member history the arbiter keeps for
+	// id. Both coordinators call it (through EpochCore.Forget) when a
+	// member leaves the pool for any reason — detach, eviction, or
+	// abandonment — so a later readmission starts with a cold model
+	// instead of stale history. Unknown ids, and arbiters without
+	// history, make it a no-op.
+	Forget(id string)
 }
+
+// RoundStats is what one Rebalance round reports about itself, returned
+// by value so instrumenting a round costs no allocation and no type
+// assertion.
+type RoundStats struct {
+	// FillPasses is how many water-fill redistribution passes the round
+	// used (0 when it resolved on a trivial bound, without iterating).
+	// Convergence cost is the water-fill's one interesting performance
+	// dimension, and its 2n pass bound deserves a live counter.
+	FillPasses int
+	// Forecast reports that the arbiter scores a forecast each round;
+	// PredictionErrW is then the round's mean absolute one-epoch-ahead
+	// prediction error in watts over the members that had a standing
+	// forecast (0 when none had).
+	Forecast       bool
+	PredictionErrW float64
+}
+
+// noHistory is embedded by the arbiters that keep no per-member state.
+type noHistory struct{}
+
+// Forget implements Arbiter: there is nothing to drop.
+func (noHistory) Forget(string) {}
 
 // fillScratch is the clamped proportional water-fill shared by every
 // arbiter: distribute budgetW proportionally to share_i, clamped to
@@ -187,41 +226,8 @@ type fillScratch struct {
 	lo      []float64
 	hi      []float64
 	share   []float64
-	passes  int // redistribution passes used by the last fill
-}
-
-// FillPassReporter is the optional introspection seam for arbiters
-// built on the shared water-fill: FillPasses reports how many
-// redistribution passes the last Rebalance used (0 when it resolved on
-// a trivial bound, without iterating). The Coordinator exports the
-// running total as a metric — convergence cost is the water-fill's one
-// interesting performance dimension, and the 2n pass bound deserves a
-// live gauge on it. Kept out of the Arbiter interface so existing
-// custom arbiters stay valid.
-type FillPassReporter interface {
-	FillPasses() int
-}
-
-// IDRebalancer is the optional identity-aware arbitration seam: an
-// arbiter that keeps per-member history keyed by member id (so state
-// survives positional churn from attach/detach) implements RebalanceIDs
-// and receives the same ids slice ComputeGrants validates against.
-// ids[i] names obs[i]; the contract is otherwise identical to
-// Rebalance, which such arbiters must still implement (falling back to
-// positional state) for direct callers. Kept out of the Arbiter
-// interface so existing custom arbiters stay valid.
-type IDRebalancer interface {
-	RebalanceIDs(budgetW float64, ids []string, obs []Observation, grants []float64)
-}
-
-// MemberForgetter is the optional per-member state-lifecycle seam,
-// mirroring SLOTracker.Forget: arbiters that accumulate per-member
-// history implement Forget and both coordinators call it when a member
-// leaves the pool for any reason — detach, eviction, or abandonment —
-// so a later readmission starts with a cold model instead of stale
-// history. Forgetting an unknown id is a no-op.
-type MemberForgetter interface {
-	Forget(id string)
+	demand  []float64 // the demand arbiters' per-member estimates (see fund)
+	passes  int       // redistribution passes used by the last fill
 }
 
 func (f *fillScratch) grow(n int) {
@@ -230,11 +236,13 @@ func (f *fillScratch) grow(n int) {
 		f.lo = make([]float64, n)
 		f.hi = make([]float64, n)
 		f.share = make([]float64, n)
+		f.demand = make([]float64, n)
 	}
 	f.clamped = f.clamped[:n]
 	f.lo = f.lo[:n]
 	f.hi = f.hi[:n]
 	f.share = f.share[:n]
+	f.demand = f.demand[:n]
 }
 
 // fill distributes budgetW over the bounds currently loaded in f.lo /
@@ -324,7 +332,7 @@ func (f *fillScratch) fill(budgetW float64, grants []float64) {
 // proportional loads the scratch with the member floors/peaks and a
 // weight·peak (or plain peak) share, then fills — the cold-start seed
 // and the whole of the two static arbiters.
-func (f *fillScratch) proportional(budgetW float64, obs []Observation, grants []float64, weighted bool) {
+func (f *fillScratch) proportional(budgetW float64, obs []Observation, grants []float64, weighted bool) RoundStats {
 	f.grow(len(obs))
 	for i, o := range obs {
 		f.lo[i] = o.FloorW
@@ -335,6 +343,71 @@ func (f *fillScratch) proportional(budgetW float64, obs []Observation, grants []
 		}
 	}
 	f.fill(budgetW, grants)
+	return RoundStats{FillPasses: f.passes}
+}
+
+// fund is the one funder behind the demand arbiters (slack, predictive,
+// and — through fillAboveDemand — slo): each of them is only an
+// estimator that loads f.demand with what it thinks member i wants, and
+// fund turns the estimates into grants. Every demand is first clamped
+// into [floor, peak]. When the demands outstrip the budget the floors
+// are funded and the rest scaled back proportionally above them (every
+// member exactly at its floor when even the floors do not fit);
+// otherwise each demand is funded in full and the surplus water-filled
+// on top of it.
+func (f *fillScratch) fund(budgetW float64, obs []Observation, grants []float64) RoundStats {
+	sumFloor, sumDemand := 0.0, 0.0
+	for i := range obs {
+		o := &obs[i]
+		d := math.Min(math.Max(f.demand[i], o.FloorW), o.PeakW)
+		f.demand[i] = d
+		sumFloor += o.FloorW
+		sumDemand += d
+	}
+	if sumDemand < budgetW {
+		return f.fillAboveDemand(budgetW, obs, grants)
+	}
+	// The scaled-demand branches below resolve without a fill: no passes.
+	if budgetW <= sumFloor {
+		for i := range obs {
+			grants[i] = obs[i].FloorW
+		}
+		return RoundStats{}
+	}
+	lambda := (budgetW - sumFloor) / (sumDemand - sumFloor)
+	for i := range obs {
+		floor := obs[i].FloorW
+		grants[i] = floor + lambda*(f.demand[i]-floor)
+	}
+	return RoundStats{}
+}
+
+// fillAboveDemand funds every demand in f.demand in full and lands the
+// surplus by weight × peak: the demands become the floor of a
+// proportional fill, so reclaimed watts go to the members that can
+// convert them (bounded by their peaks).
+func (f *fillScratch) fillAboveDemand(budgetW float64, obs []Observation, grants []float64) RoundStats {
+	for i := range obs {
+		o := &obs[i]
+		f.lo[i] = f.demand[i]
+		f.hi[i] = o.PeakW
+		f.share[i] = o.Weight * o.PeakW
+	}
+	f.fill(budgetW, grants)
+	return RoundStats{FillPasses: f.passes}
+}
+
+// reactiveDemand is the slack arbiter's estimator (and the predictive
+// arbiter's warm-up fallback): move the member's grant a gain-limited
+// step toward its measured draw plus headroom — or, for a member held
+// below top frequency on more than band of its cores, toward a grant
+// grown by the headroom factor.
+func reactiveDemand(o *Observation, band, headroom, gain float64) float64 {
+	target := o.PowerW * headroom // satisfied: draw plus cushion
+	if o.ThrottleFrac > band {
+		target = o.GrantW * headroom // bound: grow, rate-limited
+	}
+	return o.GrantW + gain*(target-o.GrantW)
 }
 
 // coldStart reports whether any member has no completed epoch yet — the
@@ -356,7 +429,10 @@ func coldStart(obs []Observation) bool {
 // budget proportional to its machine's peak power, ignoring measured
 // draw entirely. It is the predictable baseline the reclaiming arbiter
 // is judged against.
-type StaticProportional struct{ f fillScratch }
+type StaticProportional struct {
+	noHistory
+	f fillScratch
+}
 
 // NewStaticProportional returns the proportional-to-peak arbiter.
 func NewStaticProportional() *StaticProportional { return &StaticProportional{} }
@@ -364,18 +440,18 @@ func NewStaticProportional() *StaticProportional { return &StaticProportional{} 
 // Name implements Arbiter.
 func (*StaticProportional) Name() string { return "static" }
 
-// FillPasses implements FillPassReporter.
-func (a *StaticProportional) FillPasses() int { return a.f.passes }
-
 // Rebalance implements Arbiter.
-func (a *StaticProportional) Rebalance(budgetW float64, obs []Observation, grants []float64) {
-	a.f.proportional(budgetW, obs, grants, false)
+func (a *StaticProportional) Rebalance(budgetW float64, _ []string, obs []Observation, grants []float64) RoundStats {
+	return a.f.proportional(budgetW, obs, grants, false)
 }
 
 // PriorityWeighted grants shares proportional to weight × peak: a
 // weight-2 member gets twice the per-watt-of-peak share of a weight-1
 // member. Like StaticProportional it ignores measured draw.
-type PriorityWeighted struct{ f fillScratch }
+type PriorityWeighted struct {
+	noHistory
+	f fillScratch
+}
 
 // NewPriorityWeighted returns the priority-weighted arbiter.
 func NewPriorityWeighted() *PriorityWeighted { return &PriorityWeighted{} }
@@ -383,12 +459,9 @@ func NewPriorityWeighted() *PriorityWeighted { return &PriorityWeighted{} }
 // Name implements Arbiter.
 func (*PriorityWeighted) Name() string { return "priority" }
 
-// FillPasses implements FillPassReporter.
-func (a *PriorityWeighted) FillPasses() int { return a.f.passes }
-
 // Rebalance implements Arbiter.
-func (a *PriorityWeighted) Rebalance(budgetW float64, obs []Observation, grants []float64) {
-	a.f.proportional(budgetW, obs, grants, true)
+func (a *PriorityWeighted) Rebalance(budgetW float64, _ []string, obs []Observation, grants []float64) RoundStats {
+	return a.f.proportional(budgetW, obs, grants, true)
 }
 
 // SlackReclaim shifts budget from members that leave watts on the table
@@ -425,8 +498,8 @@ type SlackReclaim struct {
 	// (0, 1]. Default 0.5.
 	Gain float64
 
-	f      fillScratch
-	demand []float64
+	noHistory
+	f fillScratch
 }
 
 // NewSlackReclaim returns the slack-reclaiming arbiter with its default
@@ -438,60 +511,19 @@ func NewSlackReclaim() *SlackReclaim {
 // Name implements Arbiter.
 func (*SlackReclaim) Name() string { return "slack" }
 
-// FillPasses implements FillPassReporter.
-func (a *SlackReclaim) FillPasses() int { return a.f.passes }
-
 // Rebalance implements Arbiter.
-func (a *SlackReclaim) Rebalance(budgetW float64, obs []Observation, grants []float64) {
-	n := len(obs)
-	a.f.passes = 0 // the scaled-demand branches resolve without a fill
+func (a *SlackReclaim) Rebalance(budgetW float64, _ []string, obs []Observation, grants []float64) RoundStats {
 	if coldStart(obs) {
 		// Seed plain proportional-to-peak: weights express who deserves
 		// surplus, not a bigger starting share — an inflated seed would
 		// just be reclaimed again over the first epochs.
-		a.f.proportional(budgetW, obs, grants, false)
-		return
+		return a.f.proportional(budgetW, obs, grants, false)
 	}
-	if cap(a.demand) < n {
-		a.demand = make([]float64, n)
+	a.f.grow(len(obs))
+	for i := range obs {
+		a.f.demand[i] = reactiveDemand(&obs[i], a.ThrottleBand, a.Headroom, a.Gain)
 	}
-	a.demand = a.demand[:n]
-	sumFloor, sumDemand := 0.0, 0.0
-	for i, o := range obs {
-		target := o.PowerW * a.Headroom // satisfied: draw plus cushion
-		if o.ThrottleFrac > a.ThrottleBand {
-			target = o.GrantW * a.Headroom // bound: grow, rate-limited
-		}
-		d := o.GrantW + a.Gain*(target-o.GrantW)
-		d = math.Min(math.Max(d, o.FloorW), o.PeakW)
-		a.demand[i] = d
-		sumFloor += o.FloorW
-		sumDemand += d
-	}
-	if sumDemand >= budgetW {
-		// Demands outstrip the budget: fund floors, scale the rest.
-		if budgetW <= sumFloor {
-			for i, o := range obs {
-				grants[i] = o.FloorW
-			}
-			return
-		}
-		lambda := (budgetW - sumFloor) / (sumDemand - sumFloor)
-		for i, o := range obs {
-			grants[i] = o.FloorW + lambda*(a.demand[i]-o.FloorW)
-		}
-		return
-	}
-	// Budget covers every demand: demands become the floor of a
-	// proportional fill, so reclaimed slack lands with the members that
-	// can convert it (bounded by their peaks).
-	a.f.grow(n)
-	for i, o := range obs {
-		a.f.lo[i] = a.demand[i]
-		a.f.hi[i] = o.PeakW
-		a.f.share[i] = o.Weight * o.PeakW
-	}
-	a.f.fill(budgetW, grants)
+	return a.f.fund(budgetW, obs, grants)
 }
 
 // arbiterRegistry is the single source of truth for the named arbiters:

@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/runner"
 )
@@ -136,44 +135,15 @@ type MemberResult struct {
 	Result *runner.Result `json:"result"`
 }
 
-// member is the coordinator-side state of one tenant.
+// member is the coordinator-side state of one tenant: the epoch core's
+// arbitration state plus the session the in-process driver steps.
 type member struct {
-	Member
-	peak     float64
-	floorW   float64
-	epochNs  float64 // control-epoch length (BIPS denominator)
-	maxSteps []int   // each core's top ladder step (throttle reference)
-	grantW   float64 // grant in force during the last stepped epoch
-	powerW   float64 // measured average power of that epoch
-	throttle float64 // fraction of cores shed below top step
-	instr    float64 // instructions retired over that epoch
-	local    int     // member-local epochs completed
-	total    int     // the session's configured run length
-	done     bool    // ran its last epoch
-	detached bool    // removed by Detach; result finalized
-}
-
-// bips converts the member's last-epoch instruction count to a rate.
-// Both coordinators derive it through cluster.DeriveBIPS — the same
-// guarded division — keeping streams byte-identical and Inf/NaN-free
-// even for degenerate epoch durations.
-func (m *member) bips() float64 {
-	return DeriveBIPS(m.instr, m.epochNs)
-}
-
-// throttleFrac measures how many of the member's cores the epoch's
-// decision held below their top DVFS step.
-func (m *member) throttleFrac(coreSteps []int) float64 {
-	if len(coreSteps) == 0 {
-		return 0
-	}
-	shed := 0
-	for i, st := range coreSteps {
-		if st < m.maxSteps[i] {
-			shed++
-		}
-	}
-	return float64(shed) / float64(len(coreSteps))
+	EpochMember
+	Session  *runner.Session
+	maxSteps []int // each core's top ladder step (throttle reference)
+	total    int   // the session's configured run length
+	done     bool  // ran its last epoch
+	detached bool  // removed by Detach; result finalized
 }
 
 // Coordinator arbitrates one global power budget across its members.
@@ -183,7 +153,6 @@ func (m *member) throttleFrac(coreSteps []int) float64 {
 // boundary, deterministically.
 type Coordinator struct {
 	cfg Config
-	arb Arbiter
 
 	// mu guards the retargetable budget, the pending membership ops,
 	// the members slice layout (Step mutates it only inside
@@ -206,33 +175,18 @@ type Coordinator struct {
 	err       error        // sticky: first failure poisons the cluster
 	finalized bool
 
-	// Reused per-epoch scratch (allocation-free steady state).
+	// core is the epoch arithmetic shared with the distributed
+	// coordinator: arbitration, record assembly, SLO tracking, metrics.
+	// Step drives it under stepMu, applyPending under stepMu and mu.
+	core *EpochCore
+
+	// Reused per-epoch scratch (allocation-free steady state): the live
+	// members, their core state in the same order, and the worker pool's
+	// per-member outcomes.
 	live     []*member
-	ids      []string
-	obs      []Observation
-	grants   []float64
+	states   []*EpochMember
 	stepRecs []runner.EpochRecord
 	stepErrs []error
-
-	// grantBuf backs the records' member lines in flat chunks.
-	grantBuf []MemberGrant
-	grantOff int
-
-	// met holds the instrumentation handles (zero value: disabled);
-	// fillRep and predRep are the arbiter's optional reporters,
-	// type-asserted once in SetMetrics rather than per epoch.
-	met     Metrics
-	fillRep FillPassReporter
-	predRep PredictionErrorReporter
-
-	// forgetter is the arbiter's optional per-member state reset
-	// (type-asserted once in New): called alongside slo.Forget when a
-	// member detaches, so history-keeping arbiters drop its model.
-	forgetter MemberForgetter
-
-	// slo derives per-member SLO pressure events from each finished
-	// record (no-op for contract-free clusters).
-	slo *SLOTracker
 }
 
 // MemberParams is a member's arbitration-parameter bundle — the
@@ -275,40 +229,40 @@ func (p MemberParams) Normalize(id string) (MemberParams, error) {
 	return p, nil
 }
 
-// validateMember normalizes and checks one member against the already
-// accepted set.
-func validateMember(m *Member, seen map[string]bool) error {
+// admit validates m against every member admitted so far (founding,
+// attached or still pending), normalizes its parameters and wraps it.
+// Callers hold c.mu, or own c alone (New).
+func (c *Coordinator) admit(m Member) (*member, error) {
 	if m.Session == nil {
-		return fmt.Errorf("%w: member %q has no session", runner.ErrInvalidConfig, m.ID)
+		return nil, fmt.Errorf("%w: member %q has no session", runner.ErrInvalidConfig, m.ID)
 	}
 	if m.ID == "" {
-		return fmt.Errorf("%w: member with empty id", runner.ErrInvalidConfig)
+		return nil, fmt.Errorf("%w: member with empty id", runner.ErrInvalidConfig)
 	}
-	if seen[m.ID] {
-		return fmt.Errorf("%w: duplicate member id %q", runner.ErrInvalidConfig, m.ID)
+	for _, admitted := range [2][]*member{c.members, c.pendingAttach} {
+		for _, ex := range admitted {
+			if ex.ID == m.ID {
+				return nil, fmt.Errorf("%w: duplicate member id %q", runner.ErrInvalidConfig, m.ID)
+			}
+			if ex.Session == m.Session {
+				return nil, fmt.Errorf("%w: member %q shares a session with another member", runner.ErrInvalidConfig, m.ID)
+			}
+		}
 	}
 	p, err := MemberParams{Weight: m.Weight, FloorFrac: m.FloorFrac, TargetBIPS: m.TargetBIPS}.Normalize(m.ID)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.Weight, m.FloorFrac, m.TargetBIPS = p.Weight, p.FloorFrac, p.TargetBIPS
-	if peak := m.Session.PeakPowerW(); math.IsNaN(peak) || peak <= 0 {
-		return fmt.Errorf("%w: member %q platform peak %g W, want > 0", runner.ErrInvalidConfig, m.ID, peak)
-	}
-	seen[m.ID] = true
-	return nil
-}
-
-func newMember(m Member) *member {
 	peak := m.Session.PeakPowerW()
-	return &member{
-		Member:   m,
-		peak:     peak,
-		floorW:   m.FloorFrac * peak,
-		epochNs:  m.Session.EpochNs(),
-		maxSteps: m.Session.MaxCoreSteps(),
-		total:    m.Session.TotalEpochs(),
+	if math.IsNaN(peak) || peak <= 0 {
+		return nil, fmt.Errorf("%w: member %q platform peak %g W, want > 0", runner.ErrInvalidConfig, m.ID, peak)
 	}
+	return &member{
+		EpochMember: NewEpochMember(m.ID, p, peak, m.Session.EpochNs()),
+		Session:     m.Session,
+		maxSteps:    m.Session.MaxCoreSteps(),
+		total:       m.Session.TotalEpochs(),
+	}, nil
 }
 
 // ValidBudgetW validates a global watt budget: NaN, infinite and
@@ -338,37 +292,19 @@ func New(cfg Config, members []Member) (*Coordinator, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	seen := make(map[string]bool, len(members))
-	sessions := make(map[*runner.Session]bool, len(members))
-	c := &Coordinator{cfg: cfg, arb: cfg.Arbiter, budgetW: cfg.BudgetW, slo: NewSLOTracker()}
-	c.forgetter, _ = cfg.Arbiter.(MemberForgetter)
+	c := &Coordinator{cfg: cfg, budgetW: cfg.BudgetW, core: NewEpochCore(cfg.Arbiter)}
 	maxTotal := 0
-	for i := range members {
-		m := members[i]
-		if err := validateMember(&m, seen); err != nil {
+	for _, m := range members {
+		mm, err := c.admit(m)
+		if err != nil {
 			return nil, err
 		}
-		if sessions[m.Session] {
-			return nil, fmt.Errorf("%w: member %q shares a session with another member", runner.ErrInvalidConfig, m.ID)
-		}
-		sessions[m.Session] = true
-		mm := newMember(m)
 		c.members = append(c.members, mm)
 		if mm.total > maxTotal {
 			maxTotal = mm.total
 		}
 	}
 	c.total.Store(int64(maxTotal))
-	// A flat chunk backs the records' member lines; memberLines
-	// allocates fresh chunks as the run (or an attach) outgrows it. The
-	// initial chunk is capped: a full-horizon buffer for a many-member
-	// long cluster would hand an unauthenticated create hundreds of
-	// megabytes before the first epoch runs.
-	chunk := maxTotal
-	if chunk > 256 {
-		chunk = 256
-	}
-	c.grantBuf = make([]MemberGrant, chunk*len(members))
 	return c, nil
 }
 
@@ -391,7 +327,7 @@ func (c *Coordinator) BudgetW() float64 {
 }
 
 // Name returns the arbiter's name.
-func (c *Coordinator) Name() string { return c.arb.Name() }
+func (c *Coordinator) Name() string { return c.cfg.Arbiter.Name() }
 
 // SetBudgetW retargets the global budget: from the next epoch on, the
 // arbiter partitions w watts. NaN, infinite and non-positive values are
@@ -420,23 +356,10 @@ func (c *Coordinator) Attach(m Member) error {
 	if c.done {
 		return fmt.Errorf("%w: cannot attach %q", ErrDone, m.ID)
 	}
-	seen := make(map[string]bool, len(c.members)+len(c.pendingAttach)+1)
-	sessions := make(map[*runner.Session]bool, len(c.members)+len(c.pendingAttach))
-	for _, ex := range c.members {
-		seen[ex.ID] = true
-		sessions[ex.Session] = true
-	}
-	for _, p := range c.pendingAttach {
-		seen[p.ID] = true
-		sessions[p.Session] = true
-	}
-	if err := validateMember(&m, seen); err != nil {
+	p, err := c.admit(m)
+	if err != nil {
 		return err
 	}
-	if sessions[m.Session] {
-		return fmt.Errorf("%w: member %q shares a session with another member", runner.ErrInvalidConfig, m.ID)
-	}
-	p := newMember(m)
 	c.pendingAttach = append(c.pendingAttach, p)
 	// Extend the horizon estimate immediately so supervisors consulting
 	// TotalEpochs (e.g. the serve layer's final-epoch retarget guard)
@@ -482,9 +405,9 @@ func (c *Coordinator) Detach(id string) (pending bool, err error) {
 }
 
 // applyPending folds queued attaches/detaches into the member set at an
-// epoch boundary and reports whether membership changed in a way that
-// requires reseeding grants (any attach).
-func (c *Coordinator) applyPending() (attached bool) {
+// epoch boundary. An attached member arrives cold (Warm == false), which
+// makes every arbiter reseed the whole fleet proportionally.
+func (c *Coordinator) applyPending() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range c.pendingDetach {
@@ -492,19 +415,13 @@ func (c *Coordinator) applyPending() (attached bool) {
 			if m.ID == id && !m.detached {
 				m.detached = true
 				m.Session.Result() // finalize the prefix
-				c.slo.Forget(id)
-				if c.forgetter != nil {
-					c.forgetter.Forget(id)
-				}
+				c.core.Forget(id)
 			}
 		}
 	}
 	c.pendingDetach = c.pendingDetach[:0]
 	cur := int(c.epoch.Load())
-	for _, p := range c.pendingAttach {
-		c.members = append(c.members, p)
-		attached = true
-	}
+	c.members = append(c.members, c.pendingAttach...)
 	c.pendingAttach = c.pendingAttach[:0]
 	// Recompute the horizon from the members that will actually keep
 	// running — a detach of the longest-running member shrinks it, so
@@ -516,12 +433,11 @@ func (c *Coordinator) applyPending() (attached bool) {
 		if m.done || m.detached {
 			continue
 		}
-		if h := cur + m.total - m.local; h > horizon {
+		if h := cur + m.total - m.Local; h > horizon {
 			horizon = h
 		}
 	}
 	c.total.Store(int64(horizon))
-	return attached
 }
 
 // Step executes one cluster epoch: apply pending membership and budget
@@ -549,13 +465,14 @@ func (c *Coordinator) Step(ctx context.Context) (EpochRecord, error) {
 		}
 	}
 
-	attached := false
 	for {
-		attached = c.applyPending() || attached
+		c.applyPending()
 		c.live = c.live[:0]
+		c.states = c.states[:0]
 		for _, m := range c.members {
 			if !m.done && !m.detached {
 				c.live = append(c.live, m)
+				c.states = append(c.states, &m.EpochMember)
 			}
 		}
 		if len(c.live) > 0 {
@@ -577,56 +494,25 @@ func (c *Coordinator) Step(ctx context.Context) (EpochRecord, error) {
 	}
 	budget := c.BudgetW()
 
-	// Arbitrate on the completed epoch's observations; an attach wipes
-	// the grant history so everyone reseeds from the proportional share.
-	n := len(c.live)
-	c.obs = c.obs[:0]
-	c.ids = c.ids[:0]
-	for _, m := range c.live {
-		g := m.grantW
-		if attached {
-			g = 0
-		}
-		c.obs = append(c.obs, Observation{
-			PeakW: m.peak, FloorW: m.floorW, Weight: m.Weight,
-			GrantW: g, PowerW: m.powerW, ThrottleFrac: m.throttle,
-			Instr: m.instr, BIPS: m.bips(), TargetBIPS: m.TargetBIPS,
-			Warm: m.local > 0,
-		})
-		c.ids = append(c.ids, m.ID)
-	}
-	if cap(c.grants) < n {
-		c.grants = make([]float64, n)
-		c.stepRecs = make([]runner.EpochRecord, n)
-		c.stepErrs = make([]error, n)
-	}
-	c.grants = c.grants[:n]
-	c.stepRecs = c.stepRecs[:n]
-	c.stepErrs = c.stepErrs[:n]
-	arbStart := time.Now()
-	if err := ComputeGrants(c.arb, budget, c.ids, c.obs, c.grants); err != nil {
+	// Arbitrate on the completed epoch's observations, push the caps,
+	// then step everyone's epoch under them.
+	if err := c.core.Arbitrate(budget, c.states); err != nil {
 		c.err = err
 		return EpochRecord{}, c.err
 	}
-	c.met.ArbitrationSeconds.Observe(time.Since(arbStart).Seconds())
-	if c.fillRep != nil {
-		c.met.FillPasses.Add(uint64(c.fillRep.FillPasses()))
-	}
-	if c.predRep != nil {
-		e := c.predRep.PredictionErrorW()
-		c.met.PredictionErrW.Set(e)
-		c.met.PredictionAbsErrW.Observe(e)
-	}
-
-	// Push the caps, then step everyone's epoch under them.
-	for i, m := range c.live {
-		g := c.grants[i]
-		if err := m.Session.SetBudgetFrac(g / m.peak); err != nil {
-			c.err = fmt.Errorf("cluster: member %q grant %g W of %g W peak: %w", m.ID, g, m.peak, err)
+	for _, m := range c.live {
+		if err := m.Session.SetBudgetFrac(m.GrantW / m.PeakW); err != nil {
+			c.err = fmt.Errorf("cluster: member %q grant %g W of %g W peak: %w", m.ID, m.GrantW, m.PeakW, err)
 			return EpochRecord{}, c.err
 		}
-		m.grantW = g
 	}
+	n := len(c.live)
+	if cap(c.stepRecs) < n {
+		c.stepRecs = make([]runner.EpochRecord, n)
+		c.stepErrs = make([]error, n)
+	}
+	c.stepRecs = c.stepRecs[:n]
+	c.stepErrs = c.stepErrs[:n]
 	c.parallelStep(ctx, n)
 	for i, err := range c.stepErrs {
 		if err == nil || errors.Is(err, runner.ErrDone) {
@@ -636,74 +522,23 @@ func (c *Coordinator) Step(ctx context.Context) (EpochRecord, error) {
 		return EpochRecord{}, c.err
 	}
 
-	e := int(c.epoch.Load())
-	rec := EpochRecord{Epoch: e, BudgetW: budget, Members: c.memberLines(n)[:0]}
 	for i, m := range c.live {
 		if errors.Is(c.stepErrs[i], runner.ErrDone) {
-			// Defensive: a session finalized behind our back. Retire it.
+			// Defensive: a session finalized behind our back. Retire it
+			// without a line, like a remote member that never reports.
 			m.done = true
 			continue
 		}
 		r := c.stepRecs[i]
-		m.powerW = r.AvgPowerW
-		m.throttle = m.throttleFrac(r.CoreSteps)
-		m.local++
-		if m.local >= m.total {
-			m.done = true
+		m.done = r.Epoch+1 >= m.total
+		c.core.Fold(&m.EpochMember, ReportOf(r, m.maxSteps, m.done))
+		if m.done {
 			m.Session.Result()
 		}
-		instr := 0.0
-		for _, v := range r.Instr {
-			instr += v
-		}
-		m.instr = instr
-		mg := MemberGrant{
-			ID: m.ID, Epoch: r.Epoch,
-			GrantW: m.grantW, PowerW: r.AvgPowerW, SlackW: m.grantW - r.AvgPowerW,
-			ThrottleFrac: m.throttle, Instr: instr, Done: m.done,
-		}
-		if m.TargetBIPS > 0 {
-			mg.BIPS = m.bips()
-			mg.TargetBIPS = m.TargetBIPS
-		}
-		rec.Members = append(rec.Members, mg)
-		rec.GrantedW += m.grantW
 	}
-	violations, satisfied, _ := c.slo.Apply(&rec)
+	rec := c.core.Finish(int(c.epoch.Load()), budget)
 	c.epoch.Add(1)
-	c.met.Epochs.Inc()
-	if violations > 0 {
-		c.met.SLOViolations.Add(uint64(violations))
-	}
-	c.met.SLOSatisfied.Set(float64(satisfied))
-	if c.met.DrawW != nil {
-		draw := 0.0
-		for i := range rec.Members {
-			draw += rec.Members[i].PowerW
-		}
-		c.met.DrawW.Set(draw)
-		c.met.SlackW.Set(rec.GrantedW - draw)
-	}
-	c.met.BudgetW.Set(budget)
-	c.met.GrantW.Set(rec.GrantedW)
-	c.met.Members.Set(float64(len(rec.Members)))
 	return rec, nil
-}
-
-// memberLines carves the next n member lines out of the flat chunk,
-// falling back to a fresh chunk when attaches outgrew the original.
-func (c *Coordinator) memberLines(n int) []MemberGrant {
-	if c.grantOff+n > len(c.grantBuf) {
-		size := n * 64
-		if size < n {
-			size = n
-		}
-		c.grantBuf = make([]MemberGrant, size)
-		c.grantOff = 0
-	}
-	s := c.grantBuf[c.grantOff : c.grantOff+n : c.grantOff+n]
-	c.grantOff += n
-	return s
 }
 
 // parallelStep advances every live member one epoch on the worker pool,

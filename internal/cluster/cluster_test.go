@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -533,7 +534,9 @@ type sloppyArbiter struct{ epoch int }
 
 func (*sloppyArbiter) Name() string { return "sloppy" }
 
-func (a *sloppyArbiter) Rebalance(budgetW float64, obs []Observation, grants []float64) {
+func (*sloppyArbiter) Forget(string) {}
+
+func (a *sloppyArbiter) Rebalance(budgetW float64, _ []string, _ []Observation, grants []float64) cluster.RoundStats {
 	defer func() { a.epoch++ }()
 	for i := range grants {
 		switch a.epoch {
@@ -545,6 +548,7 @@ func (a *sloppyArbiter) Rebalance(budgetW float64, obs []Observation, grants []f
 			grants[i] = math.NaN()
 		}
 	}
+	return cluster.RoundStats{}
 }
 
 // Alias the exported Observation type for the custom-arbiter test.
@@ -588,7 +592,7 @@ func TestCoordinatorClampsCustomArbiterGrants(t *testing.T) {
 func TestArbitersEmptyObservations(t *testing.T) {
 	for _, name := range []string{"static", "slack", "priority", "slo", "predictive"} {
 		arb, _ := cluster.ArbiterByName(name)
-		arb.Rebalance(100, nil, nil) // must not panic
+		arb.Rebalance(100, nil, nil, nil) // must not panic
 	}
 	if _, ok := cluster.ArbiterByName("nope"); ok {
 		t.Error("unknown arbiter name resolved")
@@ -606,7 +610,7 @@ func TestFillRedistributesCeilingClampedBudget(t *testing.T) {
 		{PeakW: 100, FloorW: 10, Weight: 1},
 	}
 	grants := make([]float64, 2)
-	arb.Rebalance(150, obs, grants)
+	arb.Rebalance(150, nil, obs, grants) // a stateless arbiter ignores ids
 	if grants[0] != 100 || math.Abs(grants[1]-50) > 1e-9 {
 		t.Errorf("grants %v of a 150 W budget, want [100 50] (freed ceiling budget redistributed)", grants)
 	}
@@ -677,22 +681,97 @@ func TestPriorityWeightedShares(t *testing.T) {
 // overhead is O(members) arithmetic on pre-grown scratch.
 func TestArbitersSteadyStateAllocationFree(t *testing.T) {
 	obs := make([]cluster.Observation, 64)
+	ids := make([]string, len(obs))
 	for i := range obs {
 		obs[i] = cluster.Observation{
 			PeakW: 100, FloorW: 10, Weight: 1 + float64(i%3),
 			GrantW: 50 + float64(i), PowerW: 40 + float64(i%7),
 			ThrottleFrac: float64(i%2) * 0.5, Warm: true,
 		}
+		ids[i] = fmt.Sprintf("m%02d", i)
 	}
 	grants := make([]float64, len(obs))
 	for _, name := range []string{"static", "slack", "priority", "slo", "predictive"} {
 		arb, _ := cluster.ArbiterByName(name)
-		arb.Rebalance(3000, obs, grants) // warm the scratch
+		arb.Rebalance(3000, ids, obs, grants) // warm the scratch
 		allocs := testing.AllocsPerRun(100, func() {
-			arb.Rebalance(3000, obs, grants)
+			arb.Rebalance(3000, ids, obs, grants)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %.1f allocs per steady-state Rebalance, want 0", name, allocs)
 		}
+	}
+}
+
+// An attach reseeds the whole fleet, under every arbiter: the attached
+// member arrives cold, and one cold member makes the round a plain
+// proportional reseed that reads no grant history. So the attach
+// epoch's grants must equal what a fresh arbiter of the same kind seeds
+// for the same peaks, floors and budget — whatever the running arbiter
+// had learned in the epochs before.
+func TestAttachReseedsWholeFleet(t *testing.T) {
+	for _, name := range cluster.ArbiterNames() {
+		t.Run(name, func(t *testing.T) {
+			specs := []sessionSpec{
+				{mix: "ILP1", cores: 8, epochs: 8, pol: fastcap},
+				{mix: "MEM4", cores: 8, epochs: 8, pol: fastcap},
+				{mix: "MIX3", cores: 4, epochs: 8, pol: fastcap},
+			}
+			late := sessionSpec{mix: "MID1", cores: 4, epochs: 4, pol: fastcap}.build(t)
+			members := make([]cluster.Member, len(specs))
+			peaks := map[string]float64{"late": late.PeakPowerW()}
+			total := 0.0
+			for i, sp := range specs {
+				ses := sp.build(t)
+				id := fmt.Sprintf("m%d", i)
+				members[i] = cluster.Member{ID: id, Weight: float64(i + 1), Session: ses}
+				peaks[id] = ses.PeakPowerW()
+				total += ses.PeakPowerW()
+			}
+			budget := 0.6 * total
+			arb, _ := cluster.ArbiterByName(name)
+			c, err := cluster.New(cluster.Config{BudgetW: budget, Arbiter: arb, Workers: 1}, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Long enough for the history-keeping arbiters to leave their
+			// warm-up and move grants away from the seed.
+			for e := 0; e < 4; e++ {
+				if _, err := c.Step(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Attach(cluster.Member{ID: "late", Weight: 2, Session: late}); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := c.Step(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.Members) != 4 {
+				t.Fatalf("attach epoch has %d member lines, want 4", len(rec.Members))
+			}
+
+			ids := make([]string, len(rec.Members))
+			obs := make([]cluster.Observation, len(rec.Members))
+			for i, l := range rec.Members {
+				w := float64(i + 1)
+				if l.ID == "late" {
+					w = 2
+				}
+				ids[i] = l.ID
+				obs[i] = cluster.Observation{PeakW: peaks[l.ID], FloorW: cluster.DefaultFloorFrac * peaks[l.ID], Weight: w}
+			}
+			fresh, _ := cluster.ArbiterByName(name)
+			want := make([]float64, len(obs))
+			if err := cluster.ComputeGrants(fresh, budget, ids, obs, want); err != nil {
+				t.Fatal(err)
+			}
+			for i, l := range rec.Members {
+				if l.GrantW != want[i] {
+					t.Errorf("attach epoch grant of %s = %v W, want the fresh seed %v W", l.ID, l.GrantW, want[i])
+				}
+			}
+		})
 	}
 }

@@ -1,15 +1,34 @@
 package cluster
 
-import "repro/internal/metrics"
+import (
+	"repro/internal/metrics"
+	"repro/internal/stats"
+)
 
-// Metrics is the Coordinator's instrumentation surface: a value struct
-// of pre-resolved, nil-safe handles. The zero value disables everything
-// at zero cost — each update is an atomic store against a nil receiver
-// no-op — so library users and tests pay nothing, and the serving layer
-// enables per-cluster telemetry by filling the handles with labeled
-// series. Updates happen under stepMu on the arbitration path, which is
-// allocation-free, so enabling metrics does not perturb the zero-alloc
-// steady state (benchmark-guarded in bench_test.go).
+// ArbitrationBuckets are the bounds of every arbitration-latency
+// histogram fed through Metrics.ArbitrationSeconds. They span 100ns to
+// ~0.4s: the water-fill runs in microseconds for realistic member
+// counts, and the histogram should resolve that, not lump it under the
+// first latency bucket.
+var ArbitrationBuckets = stats.ExpBuckets(1e-7, 4, 11)
+
+// PredictionErrorBuckets are the bounds of every histogram fed through
+// Metrics.PredictionAbsErrW. They span 0.01 W to ~2.6 kW of mean
+// absolute prediction error — sub-watt buckets resolve a well-fitted
+// forecast, the top buckets catch a model tracking a phase change.
+var PredictionErrorBuckets = stats.ExpBuckets(0.01, 4, 10)
+
+// Metrics is the epoch core's instrumentation surface: a value struct
+// of pre-resolved, nil-safe handles, fed identically whichever
+// coordinator drives the core. The zero value disables everything at
+// zero cost — each update is an atomic store against a nil receiver
+// no-op — so library users and tests pay nothing. The serving layer
+// fills every handle with series labeled by cluster id; the distributed
+// layer fills only the aggregatable families (counters and histograms)
+// and leaves the per-cluster gauges nil, because its families are
+// daemon-global by design. Updates happen on the arbitration path,
+// which is allocation-free, so enabling metrics does not perturb the
+// zero-alloc steady state (benchmark-guarded in bench_test.go).
 type Metrics struct {
 	// BudgetW / GrantW / DrawW / SlackW mirror the last epoch record:
 	// the global budget in force, the sum granted, the sum actually
@@ -25,8 +44,8 @@ type Metrics struct {
 	// ArbitrationSeconds observes the latency of each ComputeGrants
 	// round (the arbiter proper, not member stepping).
 	ArbitrationSeconds *metrics.Histogram
-	// FillPasses accumulates water-fill redistribution passes, when the
-	// arbiter reports them (see FillPassReporter).
+	// FillPasses accumulates the water-fill redistribution passes the
+	// arbiter reports (RoundStats.FillPasses).
 	FillPasses *metrics.Counter
 	// SLOViolations counts per-member transitions into SLO violation
 	// (the slo_violated events); SLOSatisfied is the number of
@@ -36,8 +55,7 @@ type Metrics struct {
 	// PredictionErrW is the forecasting arbiter's mean absolute
 	// one-epoch-ahead prediction error over the last round, in watts;
 	// PredictionAbsErrW accumulates the same values as a distribution.
-	// Only updated when the arbiter reports predictions (see
-	// PredictionErrorReporter).
+	// Only updated when the arbiter forecasts (RoundStats.Forecast).
 	PredictionErrW    *metrics.Gauge
 	PredictionAbsErrW *metrics.Histogram
 }
@@ -48,8 +66,4 @@ type Metrics struct {
 // rather than a Config field. Publication happens-before the first
 // Step via the caller's own synchronization (the group is not runnable
 // until after SetMetrics returns).
-func (c *Coordinator) SetMetrics(m Metrics) {
-	c.met = m
-	c.fillRep, _ = c.arb.(FillPassReporter)
-	c.predRep, _ = c.arb.(PredictionErrorReporter)
-}
+func (c *Coordinator) SetMetrics(m Metrics) { c.core.SetMetrics(m) }

@@ -51,13 +51,12 @@ func (st *predState) observe(alpha, beta, powerW float64) {
 // window can never whipsaw the fleet. A mispredicting model is further
 // contained by the [floor, peak] clamp net every demand passes through.
 //
-// Per-member history is keyed by member id via the IDRebalancer seam
-// (positional when driven through plain Rebalance) and dropped through
-// MemberForgetter when a member detaches, is evicted, or is abandoned —
-// a readmitted member provably restarts cold. The arbiter reports its
-// trailing absolute prediction error (|forecast − draw| averaged over
-// the last round's warm members) through PredictionErrorReporter, which
-// the serving layer exports as fastcap_cluster_prediction_error_w.
+// Per-member history is keyed by member id and dropped through Forget
+// when a member detaches, is evicted, or is abandoned — a readmitted
+// member provably restarts cold. Each round reports its trailing
+// absolute prediction error (|forecast − draw| averaged over the
+// round's warm members) in RoundStats, which the serving layer exports
+// as fastcap_cluster_prediction_error_w.
 type PredictiveArbiter struct {
 	// Alpha is the EWMA gain on the level term, in (0, 1]. Default 0.5.
 	Alpha float64
@@ -81,13 +80,8 @@ type PredictiveArbiter struct {
 	// the reactive fallback rule. Default 3.
 	WarmEpochs int
 
-	f      fillScratch
-	demand []float64
-	hist   map[string]*predState // id-keyed state (RebalanceIDs path)
-	pos    []predState           // positional state (plain Rebalance path)
-
-	errSum float64 // Σ |forecast − draw| over the last round's
-	errN   int     // warm members, for PredictionErrorW
+	f    fillScratch
+	hist map[string]*predState // per-member forecasters, keyed by id
 }
 
 // NewPredictiveArbiter returns the forecast-driven arbiter with its
@@ -103,145 +97,74 @@ func NewPredictiveArbiter() *PredictiveArbiter {
 // Name implements Arbiter.
 func (*PredictiveArbiter) Name() string { return "predictive" }
 
-// FillPasses implements FillPassReporter.
-func (a *PredictiveArbiter) FillPasses() int { return a.f.passes }
-
-// Forget implements MemberForgetter: drop the member's history so a
+// Forget implements Arbiter: drop the member's history so a
 // readmission restarts its model cold. Unknown ids are a no-op.
 func (a *PredictiveArbiter) Forget(id string) { delete(a.hist, id) }
 
-// PredictionErrorW reports the mean absolute one-epoch-ahead prediction
-// error, in watts, over the warm members of the last rebalance round
-// (0 when no member had a standing forecast to score).
-func (a *PredictiveArbiter) PredictionErrorW() float64 {
-	if a.errN == 0 {
-		return 0
-	}
-	return a.errSum / float64(a.errN)
-}
-
-// PredictionErrorReporter is the optional introspection seam for
-// forecasting arbiters: PredictionErrorW reports the mean absolute
-// prediction error of the last rebalance round in watts. The serving
-// layer exports it per cluster as a gauge and an error histogram.
-type PredictionErrorReporter interface {
-	PredictionErrorW() float64
-}
-
-// state returns member i's forecaster: id-keyed when ids are known,
-// positional otherwise. The map insert only happens the first time a
-// member id is seen, so the steady state stays allocation-free.
-func (a *PredictiveArbiter) state(ids []string, i int) *predState {
-	if ids == nil {
-		return &a.pos[i]
-	}
-	st := a.hist[ids[i]]
+// state returns the member's forecaster. The map insert only happens
+// the first time a member id is seen, so the steady state stays
+// allocation-free.
+func (a *PredictiveArbiter) state(id string) *predState {
+	st := a.hist[id]
 	if st == nil {
 		st = &predState{}
 		if a.hist == nil {
 			a.hist = make(map[string]*predState)
 		}
-		a.hist[ids[i]] = st
+		a.hist[id] = st
 	}
 	return st
 }
 
-// Rebalance implements Arbiter, keying history by position. Prefer
-// driving the arbiter through ComputeGrants, which supplies member ids
-// and makes history churn-proof.
-func (a *PredictiveArbiter) Rebalance(budgetW float64, obs []Observation, grants []float64) {
-	if cap(a.pos) < len(obs) {
-		a.pos = make([]predState, len(obs))
-	}
-	a.pos = a.pos[:len(obs)]
-	a.rebalance(budgetW, nil, obs, grants)
-}
-
-// RebalanceIDs implements IDRebalancer, keying history by member id.
-func (a *PredictiveArbiter) RebalanceIDs(budgetW float64, ids []string, obs []Observation, grants []float64) {
-	a.rebalance(budgetW, ids, obs, grants)
-}
-
-func (a *PredictiveArbiter) rebalance(budgetW float64, ids []string, obs []Observation, grants []float64) {
-	n := len(obs)
-	a.f.passes = 0
-	a.errSum, a.errN = 0, 0
-
+// Rebalance implements Arbiter.
+func (a *PredictiveArbiter) Rebalance(budgetW float64, ids []string, obs []Observation, grants []float64) RoundStats {
 	// Model pass: score the standing forecast against the measured
 	// draw, then fold the epoch in. Cold members reset explicitly —
-	// belt and braces under the coordinators' Forget calls, and the
-	// only lifecycle hook the positional path has.
+	// belt and braces under the coordinators' Forget calls.
+	errSum, errN := 0.0, 0
 	cold := false
 	for i := range obs {
-		st := a.state(ids, i)
+		st := a.state(ids[i])
 		if !obs[i].Warm {
 			*st = predState{}
 			cold = true
 			continue
 		}
 		if st.n > 0 {
-			a.errSum += math.Abs(st.forecast - obs[i].PowerW)
-			a.errN++
+			errSum += math.Abs(st.forecast - obs[i].PowerW)
+			errN++
 		}
 		st.observe(a.Alpha, a.Beta, obs[i].PowerW)
 	}
+	var stats RoundStats
 	if cold {
 		// Same cold-start seed as every other arbiter: plain
 		// proportional-to-peak until the whole fleet has telemetry.
-		a.f.proportional(budgetW, obs, grants, false)
-		return
-	}
-
-	if cap(a.demand) < n {
-		a.demand = make([]float64, n)
-	}
-	a.demand = a.demand[:n]
-	sumFloor, sumDemand := 0.0, 0.0
-	for i, o := range obs {
-		st := a.state(ids, i)
-		var d float64
-		if st.n >= a.WarmEpochs {
-			d = st.forecast * a.Headroom
+		stats = a.f.proportional(budgetW, obs, grants, false)
+	} else {
+		a.f.grow(len(obs))
+		for i := range obs {
+			o := &obs[i]
+			st := a.state(ids[i])
+			if st.n < a.WarmEpochs {
+				// Warm-up fallback: the slack arbiter's reactive rule.
+				a.f.demand[i] = reactiveDemand(o, a.ThrottleBand, a.Headroom, a.Gain)
+				continue
+			}
+			d := st.forecast * a.Headroom
 			if o.ThrottleFrac > a.ThrottleBand {
 				// Cap-limited draw: the forecast learned the ceiling,
 				// not the appetite. Keep growing off the grant.
 				d = math.Max(d, o.GrantW*a.Headroom)
 			}
-		} else {
-			// Warm-up fallback: the slack arbiter's reactive rule.
-			target := o.PowerW * a.Headroom
-			if o.ThrottleFrac > a.ThrottleBand {
-				target = o.GrantW * a.Headroom
-			}
-			d = o.GrantW + a.Gain*(target-o.GrantW)
+			a.f.demand[i] = d
 		}
-		d = math.Min(math.Max(d, o.FloorW), o.PeakW)
-		a.demand[i] = d
-		sumFloor += o.FloorW
-		sumDemand += d
+		// Identical degradation to SlackReclaim: one funder.
+		stats = a.f.fund(budgetW, obs, grants)
 	}
-	if sumDemand >= budgetW {
-		// Demands outstrip the budget: fund floors, scale the rest —
-		// identical degradation to SlackReclaim.
-		if budgetW <= sumFloor {
-			for i, o := range obs {
-				grants[i] = o.FloorW
-			}
-			return
-		}
-		lambda := (budgetW - sumFloor) / (sumDemand - sumFloor)
-		for i, o := range obs {
-			grants[i] = o.FloorW + lambda*(a.demand[i]-o.FloorW)
-		}
-		return
+	stats.Forecast = true
+	if errN > 0 {
+		stats.PredictionErrW = errSum / float64(errN)
 	}
-	// Budget covers every demand: demands floor a proportional fill, so
-	// the surplus lands by weight × peak, bounded by the peaks.
-	a.f.grow(n)
-	for i, o := range obs {
-		a.f.lo[i] = a.demand[i]
-		a.f.hi[i] = o.PeakW
-		a.f.share[i] = o.Weight * o.PeakW
-	}
-	a.f.fill(budgetW, grants)
+	return stats
 }

@@ -32,13 +32,13 @@ type SLOEvent struct {
 }
 
 // SLOTracker derives SLO pressure events from finished epoch records.
-// It is deliberately decoupled from the arbiter: the in-process
-// Coordinator and the distributed one both run a tracker over the
-// records they assemble, and because the records are byte-identical the
-// event streams are too — an arbiter-side implementation would instead
-// depend on each coordinator's private observation plumbing.
+// It is deliberately decoupled from the arbiter: the epoch core runs one
+// tracker over every record it finishes, whichever coordinator drives
+// it, so the event stream follows from the record alone — an
+// arbiter-side implementation would instead depend on the observation
+// plumbing.
 //
-// Not safe for concurrent use; each coordinator owns one.
+// Not safe for concurrent use; each epoch core owns one.
 type SLOTracker struct {
 	// Band is the hysteresis dead zone: a member is violated only below
 	// target × (1 − Band), restored only at the full target.
@@ -138,8 +138,8 @@ type SLOArbiter struct {
 	// (0, 1]. Default 0.5.
 	Gain float64
 
+	noHistory
 	f        fillScratch
-	demand   []float64
 	degraded bool
 }
 
@@ -152,26 +152,17 @@ func NewSLOArbiter() *SLOArbiter {
 // Name implements Arbiter.
 func (*SLOArbiter) Name() string { return "slo" }
 
-// FillPasses implements FillPassReporter.
-func (a *SLOArbiter) FillPasses() int { return a.f.passes }
-
 // Rebalance implements Arbiter.
-func (a *SLOArbiter) Rebalance(budgetW float64, obs []Observation, grants []float64) {
-	n := len(obs)
-	a.f.passes = 0
+func (a *SLOArbiter) Rebalance(budgetW float64, _ []string, obs []Observation, grants []float64) RoundStats {
 	if coldStart(obs) {
 		// No telemetry to estimate efficiency from yet: seed plain
 		// proportional-to-peak, like every other arbiter (identical
 		// seeds are what let a freshly-attached member join without
 		// perturbing the stream).
 		a.degraded = false
-		a.f.proportional(budgetW, obs, grants, false)
-		return
+		return a.f.proportional(budgetW, obs, grants, false)
 	}
-	if cap(a.demand) < n {
-		a.demand = make([]float64, n)
-	}
-	a.demand = a.demand[:n]
+	a.f.grow(len(obs))
 	sumDemand := 0.0
 	for i, o := range obs {
 		d := o.FloorW // best-effort members: floor now, surplus later
@@ -185,7 +176,7 @@ func (a *SLOArbiter) Rebalance(budgetW float64, obs []Observation, grants []floa
 			d = o.GrantW + a.Gain*(est-o.GrantW)
 			d = math.Min(math.Max(d, o.FloorW), o.PeakW)
 		}
-		a.demand[i] = d
+		a.f.demand[i] = d
 		sumDemand += d
 	}
 	if !a.degraded && sumDemand > budgetW {
@@ -193,27 +184,21 @@ func (a *SLOArbiter) Rebalance(budgetW float64, obs []Observation, grants []floa
 	} else if a.degraded && sumDemand <= budgetW*(1-a.Band) {
 		a.degraded = false
 	}
-	a.f.grow(n)
-	if a.degraded {
-		// Infeasible: grants depend only on the declared contracts —
-		// floors first, remainder split proportional to TargetBIPS
-		// (best-effort members propose 0 and clamp to their floors) —
-		// so the degraded regime is an exact fixed point.
-		for i, o := range obs {
-			a.f.lo[i] = o.FloorW
-			a.f.hi[i] = o.PeakW
-			a.f.share[i] = o.TargetBIPS
-		}
-		a.f.fill(budgetW, grants)
-		return
+	if !a.degraded {
+		// Feasible: every demand becomes a funded floor (sumDemand ≤
+		// budget, so the fill covers them all) and the surplus lands
+		// weight-proportionally with whoever has peak left to use it.
+		return a.f.fillAboveDemand(budgetW, obs, grants)
 	}
-	// Feasible: every demand becomes a funded floor (sumDemand ≤ budget,
-	// so the fill covers them all) and the surplus lands
-	// weight-proportionally with whoever has peak left to use it.
+	// Infeasible: grants depend only on the declared contracts —
+	// floors first, remainder split proportional to TargetBIPS
+	// (best-effort members propose 0 and clamp to their floors) —
+	// so the degraded regime is an exact fixed point.
 	for i, o := range obs {
-		a.f.lo[i] = a.demand[i]
+		a.f.lo[i] = o.FloorW
 		a.f.hi[i] = o.PeakW
-		a.f.share[i] = o.Weight * o.PeakW
+		a.f.share[i] = o.TargetBIPS
 	}
 	a.f.fill(budgetW, grants)
+	return RoundStats{FillPasses: a.f.passes}
 }

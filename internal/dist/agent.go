@@ -364,13 +364,19 @@ func (a *Agent) send(m Msg) {
 	_ = a.cfg.Send(m)
 }
 
-func (a *Agent) announceLocked(m *amember, now int64) {
+// announce sends the member's announce frame: its machine, arbitration
+// parameters and the local epochs it already has behind it.
+func (a *Agent) announce(m *amember) {
 	a.send(Msg{
 		Type: TypeAnnounce, Member: m.spec.ID,
 		PeakW: m.peak, Weight: m.spec.Weight, FloorFrac: m.spec.FloorFrac,
 		TargetBIPS: m.spec.TargetBIPS, EpochNs: m.epochNs,
 		TotalEpochs: m.total, DoneEpochs: m.local,
 	})
+}
+
+func (a *Agent) announceLocked(m *amember, now int64) {
+	a.announce(m)
 	m.attempts++
 	if m.backoffNs <= 0 {
 		m.backoffNs = a.cfg.AnnounceBackoffNs
@@ -389,12 +395,7 @@ func (a *Agent) announceLocked(m *amember, now int64) {
 }
 
 func (a *Agent) announceDoneLocked(m *amember) {
-	a.send(Msg{
-		Type: TypeAnnounce, Member: m.spec.ID,
-		PeakW: m.peak, Weight: m.spec.Weight, FloorFrac: m.spec.FloorFrac,
-		TargetBIPS: m.spec.TargetBIPS, EpochNs: m.epochNs,
-		TotalEpochs: m.total, DoneEpochs: m.total,
-	})
+	a.announce(m) // a done member's local count is its total
 	a.send(Msg{Type: TypeResult, Member: m.spec.ID, Result: m.result})
 }
 
@@ -554,18 +555,13 @@ func (a *Agent) handleGrantLocked(m *amember, g Msg) {
 	m.local++
 	done := m.local >= m.total
 
-	// The report mirrors the in-process coordinator's member line field
-	// for field: average draw, shed-core throttle fraction, per-core
-	// instruction sum in index order.
-	instr := 0.0
-	for _, v := range rec.Instr {
-		instr += v
-	}
+	// The report is the one the in-process coordinator folds, condensed
+	// by the same function, framed for the wire.
+	rep := cluster.ReportOf(rec, m.maxSteps, done)
 	m.lastReport = Msg{
 		Type: TypeReport, Member: m.spec.ID, Epoch: g.Epoch,
-		MemberEpoch: rec.Epoch, PowerW: rec.AvgPowerW,
-		ThrottleFrac: throttleFrac(rec.CoreSteps, m.maxSteps),
-		Instr:        instr, Done: done,
+		MemberEpoch: rep.Epoch, PowerW: rep.PowerW,
+		ThrottleFrac: rep.ThrottleFrac, Instr: rep.Instr, Done: rep.Done,
 	}
 	a.send(m.lastReport)
 	if done {
@@ -590,21 +586,6 @@ func (a *Agent) indexOf(m *amember) int {
 		}
 	}
 	panic("dist: member not registered") // unreachable: members never shrink
-}
-
-// throttleFrac is the fraction of cores that shed DVFS steps below
-// their ceiling this epoch — cluster.member.throttleFrac verbatim.
-func throttleFrac(coreSteps, maxSteps []int) float64 {
-	if len(coreSteps) == 0 {
-		return 0
-	}
-	shed := 0
-	for i, st := range coreSteps {
-		if st < maxSteps[i] {
-			shed++
-		}
-	}
-	return float64(shed) / float64(len(coreSteps))
 }
 
 // Done reports whether every member reached a terminal state (done or

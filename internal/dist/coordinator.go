@@ -3,10 +3,10 @@ package dist
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/httpjson"
 	"repro/internal/runner"
 )
 
@@ -95,45 +95,23 @@ func (s memberState) String() string {
 	return "invalid"
 }
 
-// dmember is the coordinator-side state of one remote member.
+// dmember is the coordinator-side state of one remote member: the epoch
+// core's arbitration state plus its place in the wire protocol.
 type dmember struct {
-	id, agent  string
-	weight     float64
-	floorFrac  float64
-	peak       float64
-	floorW     float64
-	targetBIPS float64 // declared throughput SLO (0 = no contract)
-	epochNs    float64 // announced control-epoch length (BIPS denominator)
-	total      int
+	cluster.EpochMember
+	agent string
+	total int
 
 	state  memberState
 	joined bool // admitted at least once (join vs readmit events)
-	local  int  // member-local epochs completed
-	// Arbitration inputs from the last completed epoch, exactly the
-	// fields cluster.Coordinator keeps per member.
-	grantW, powerW, throttle, instr float64
-	// warm marks those inputs as describing a really completed epoch:
-	// false from admission (join or readmit) until the member's first
-	// report folds in, mirroring the in-process m.local > 0 signal, so
-	// a readmitted member arbitrates cold.
-	warm bool
 	// pendingDone is the member-local epoch count to adopt when the
 	// pending admission lands (the agent's journal length).
 	pendingDone int
 	// Barrier staging for the epoch in flight.
 	reported bool
-	rep      Msg
+	rep      cluster.MemberReport
 
 	result *runner.Result
-}
-
-// bips converts the member's last-epoch instruction count to a rate
-// through cluster.DeriveBIPS — the same guarded division the in-process
-// Coordinator uses — keeping the distributed grant stream byte-identical
-// to the local one and Inf/NaN-free even for a degenerate announced
-// epoch length.
-func (m *dmember) bips() float64 {
-	return cluster.DeriveBIPS(m.instr, m.epochNs)
 }
 
 // Coordinator is the network-facing half of the cluster layer: it owns
@@ -143,7 +121,6 @@ func (m *dmember) bips() float64 {
 // concurrently.
 type Coordinator struct {
 	cfg Config
-	arb cluster.Arbiter
 
 	// mu guards everything below: Run mutates under it, observers
 	// snapshot under it, streamers cond-wait on it.
@@ -158,21 +135,16 @@ type Coordinator struct {
 	finished bool
 	runErr   error
 
-	// Per-epoch scratch.
-	live   []*dmember
-	ids    []string
-	obs    []cluster.Observation
-	grants []float64
+	// core is the epoch arithmetic shared with the in-process
+	// cluster.Coordinator — arbitration, record assembly, SLO tracking,
+	// metrics — which is what makes the two record streams equal by
+	// construction. It does not lock; every call is made under mu.
+	core *cluster.EpochCore
 
-	// slo derives per-member SLO pressure events from each finished
-	// record — the same tracker the in-process Coordinator runs, over
-	// byte-identical records, so the event streams match too.
-	slo *cluster.SLOTracker
-	// forgetter is the arbiter's optional per-member state reset
-	// (type-asserted once in NewCoordinator): called with slo.Forget
-	// whenever a member leaves the pool — detach, eviction, or
-	// abandonment — so a readmission starts its model cold.
-	forgetter cluster.MemberForgetter
+	// Per-epoch scratch: the live members and, in the same order, their
+	// core state.
+	live   []*dmember
+	states []*cluster.EpochMember
 }
 
 // MemberStatus describes one member of a coordinator snapshot.
@@ -219,8 +191,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.MaxEpochs <= 0 {
 		cfg.MaxEpochs = 100_000
 	}
-	c := &Coordinator{cfg: cfg, arb: cfg.Arbiter, budgetW: cfg.BudgetW, byID: make(map[string]*dmember), slo: cluster.NewSLOTracker()}
-	c.forgetter, _ = cfg.Arbiter.(cluster.MemberForgetter)
+	c := &Coordinator{cfg: cfg, budgetW: cfg.BudgetW, byID: make(map[string]*dmember), core: cluster.NewEpochCore(cfg.Arbiter)}
+	c.core.SetMetrics(cfg.Metrics.core)
 	c.cond = sync.NewCond(&c.mu)
 	return c, nil
 }
@@ -274,7 +246,7 @@ func (c *Coordinator) run(tr Transport) error {
 		c.applyBoundary(tr, e)
 		live := c.liveMembers()
 		if len(live) == 0 {
-			if !c.anyRecoverable() {
+			if !c.anyIn(stateEvicted, statePending) {
 				break
 			}
 			got, err := c.graceWait(tr, e)
@@ -316,27 +288,24 @@ func (c *Coordinator) applyBoundary(tr Transport, e int) {
 		if m.state != statePending {
 			continue
 		}
-		m.local = m.pendingDone
-		m.grantW, m.powerW, m.throttle, m.instr = 0, 0, 0, 0
-		m.warm = false
+		m.Admit(m.pendingDone) // cold: the arbiters reseed on it
 		m.reported = false
-		typ := "join"
+		ev := Event{Epoch: e, Type: "join", Member: m.ID, Agent: m.agent}
 		if m.joined {
-			typ = "readmit"
+			ev.Type = "readmit"
 		}
-		if m.local >= m.total {
+		if m.Local >= m.total {
 			// The agent's journal already covers the whole run (it
 			// finished an epoch whose report was lost, then recovered).
 			// Nothing left to arbitrate; ack and await the result.
 			m.state = stateDone
-			tr.Send(m.agent, Msg{Type: TypeWelcome, Member: m.id, Epoch: e})
-			c.eventLocked(Event{Epoch: e, Type: typ, Member: m.id, Agent: m.agent, Reason: "already finished"})
-			continue
+			ev.Reason = "already finished"
+		} else {
+			m.state = stateLive
+			m.joined = true
 		}
-		m.state = stateLive
-		m.joined = true
-		tr.Send(m.agent, Msg{Type: TypeWelcome, Member: m.id, Epoch: e})
-		c.eventLocked(Event{Epoch: e, Type: typ, Member: m.id, Agent: m.agent})
+		tr.Send(m.agent, Msg{Type: TypeWelcome, Member: m.ID, Epoch: e})
+		c.eventLocked(ev)
 	}
 }
 
@@ -346,31 +315,25 @@ func (c *Coordinator) liveMembers() []*dmember {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.live = c.live[:0]
+	c.states = c.states[:0]
 	for _, m := range c.members {
 		if m.state == stateLive {
 			c.live = append(c.live, m)
+			c.states = append(c.states, &m.EpochMember)
 		}
 	}
 	return c.live
 }
 
-func (c *Coordinator) anyRecoverable() bool {
+// anyIn reports whether some member is in one of the given states.
+func (c *Coordinator) anyIn(states ...memberState) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range c.members {
-		if m.state == stateEvicted || m.state == statePending {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Coordinator) anyPending() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.members {
-		if m.state == statePending {
-			return true
+		for _, st := range states {
+			if m.state == st {
+				return true
+			}
 		}
 	}
 	return false
@@ -381,7 +344,7 @@ func (c *Coordinator) anyPending() bool {
 func (c *Coordinator) graceWait(tr Transport, e int) (bool, error) {
 	deadline := tr.Now() + c.cfg.GraceNs
 	for {
-		if c.anyPending() {
+		if c.anyIn(statePending) {
 			return true, nil
 		}
 		env, timeout, err := tr.Recv(deadline)
@@ -389,7 +352,7 @@ func (c *Coordinator) graceWait(tr Transport, e int) (bool, error) {
 			return false, err
 		}
 		if timeout {
-			return c.anyPending(), nil
+			return c.anyIn(statePending), nil
 		}
 		c.dispatch(tr, env, e)
 	}
@@ -402,22 +365,9 @@ func (c *Coordinator) abandonStragglers(e int, reason string) {
 		switch m.state {
 		case stateLive, stateEvicted, statePending:
 			m.state = stateAbandoned
-			c.forgetLocked(m.id)
-			c.eventLocked(Event{Epoch: e, Type: "abandon", Member: m.id, Agent: m.agent, Reason: reason})
+			c.core.Forget(m.ID)
+			c.eventLocked(Event{Epoch: e, Type: "abandon", Member: m.ID, Agent: m.agent, Reason: reason})
 		}
-	}
-}
-
-// forgetLocked drops a departing member's per-member model state: the
-// SLO tracker's hysteresis and the arbiter's history (when it keeps
-// any). Called on every pool-departure path — detach, eviction and
-// abandonment alike — so a member readmitted later provably restarts
-// cold instead of inheriting state from a previous incarnation.
-// Callers hold c.mu.
-func (c *Coordinator) forgetLocked(id string) {
-	c.slo.Forget(id)
-	if c.forgetter != nil {
-		c.forgetter.Forget(id)
 	}
 }
 
@@ -427,37 +377,18 @@ func (c *Coordinator) forgetLocked(id string) {
 func (c *Coordinator) runEpoch(tr Transport, e int, live []*dmember) error {
 	c.mu.Lock()
 	budget := c.budgetW
-	// Arbitrate on the completed epoch's observations, exactly as the
-	// in-process Coordinator does. A boundary admission cleared its own
-	// warm flag, which is the cold-start signal every arbiter reseeds on.
-	c.ids = c.ids[:0]
-	c.obs = c.obs[:0]
+	// A boundary admission cleared its own warm flag, which is the
+	// cold-start signal every arbiter reseeds on.
+	err := c.core.Arbitrate(budget, c.states)
 	for _, m := range live {
-		c.obs = append(c.obs, cluster.Observation{
-			PeakW: m.peak, FloorW: m.floorW, Weight: m.weight,
-			GrantW: m.grantW, PowerW: m.powerW, ThrottleFrac: m.throttle,
-			Instr: m.instr, BIPS: m.bips(), TargetBIPS: m.targetBIPS,
-			Warm: m.warm,
-		})
-		c.ids = append(c.ids, m.id)
-	}
-	if cap(c.grants) < len(live) {
-		c.grants = make([]float64, len(live))
-	}
-	c.grants = c.grants[:len(live)]
-	c.mu.Unlock()
-	if err := cluster.ComputeGrants(c.arb, budget, c.ids, c.obs, c.grants); err != nil {
-		return err
-	}
-
-	c.mu.Lock()
-	for i, m := range live {
-		m.grantW = c.grants[i]
 		m.reported = false
 	}
 	c.mu.Unlock()
-	for i, m := range live {
-		tr.Send(m.agent, Msg{Type: TypeGrant, Member: m.id, Epoch: e, GrantW: c.grants[i]})
+	if err != nil {
+		return err
+	}
+	for _, m := range live {
+		tr.Send(m.agent, Msg{Type: TypeGrant, Member: m.ID, Epoch: e, GrantW: m.GrantW})
 	}
 
 	deadline := tr.Now() + c.cfg.EpochDeadlineNs
@@ -476,46 +407,27 @@ func (c *Coordinator) runEpoch(tr Transport, e int, live []*dmember) error {
 	for _, m := range live {
 		if m.state == stateLive && !m.reported {
 			m.state = stateEvicted
-			c.forgetLocked(m.id)
-			c.eventLocked(Event{Epoch: e, Type: "evict", Member: m.id, Agent: m.agent, Reason: "missed the epoch straggler deadline"})
-			tr.Send(m.agent, Msg{Type: TypeEvict, Member: m.id, Epoch: e})
+			c.core.Forget(m.ID)
+			c.eventLocked(Event{Epoch: e, Type: "evict", Member: m.ID, Agent: m.agent, Reason: "missed the epoch straggler deadline"})
+			tr.Send(m.agent, Msg{Type: TypeEvict, Member: m.ID, Epoch: e})
 		}
 	}
-	// The epoch record: grants pushed to every member that entered the
-	// barrier, grant/draw/slack lines for those that answered it.
-	rec := cluster.EpochRecord{Epoch: e, BudgetW: budget, Members: make([]cluster.MemberGrant, 0, len(live))}
+	// The epoch record: GrantedW covers every member that entered the
+	// barrier, the grant/draw/slack lines those that answered it.
 	for _, m := range live {
-		rec.GrantedW += m.grantW
 		if !m.reported {
 			continue
 		}
-		rep := m.rep
 		m.reported = false
-		m.powerW = rep.PowerW
-		m.throttle = rep.ThrottleFrac
-		m.instr = rep.Instr
-		m.warm = true
-		m.local = rep.MemberEpoch + 1
-		if rep.Done {
+		c.core.Fold(&m.EpochMember, m.rep)
+		if m.rep.Done {
 			m.state = stateDone
 		}
-		mg := cluster.MemberGrant{
-			ID: m.id, Epoch: rep.MemberEpoch,
-			GrantW: m.grantW, PowerW: rep.PowerW, SlackW: m.grantW - rep.PowerW,
-			ThrottleFrac: rep.ThrottleFrac, Instr: rep.Instr, Done: rep.Done,
-		}
-		if m.targetBIPS > 0 {
-			mg.BIPS = m.bips()
-			mg.TargetBIPS = m.targetBIPS
-		}
-		rec.Members = append(rec.Members, mg)
 	}
-	c.slo.Apply(&rec)
-	c.records = append(c.records, rec)
+	c.records = append(c.records, c.core.Finish(e, budget))
 	c.epoch = e + 1
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	c.cfg.Metrics.epochs.Inc()
 	return nil
 }
 
@@ -598,11 +510,9 @@ func (c *Coordinator) handleAnnounce(tr Transport, agent string, m Msg, e int) {
 	dm := c.byID[m.Member]
 	if dm == nil {
 		dm = &dmember{
-			id: m.Member, agent: agent,
-			weight: p.Weight, floorFrac: p.FloorFrac,
-			peak: m.PeakW, floorW: p.FloorFrac * m.PeakW,
-			targetBIPS: p.TargetBIPS, epochNs: m.EpochNs,
-			total: m.TotalEpochs, state: statePending, pendingDone: m.DoneEpochs,
+			EpochMember: cluster.NewEpochMember(m.Member, p, m.PeakW, m.EpochNs),
+			agent:       agent,
+			total:       m.TotalEpochs, state: statePending, pendingDone: m.DoneEpochs,
 		}
 		c.members = append(c.members, dm)
 		c.byID[m.Member] = dm
@@ -631,11 +541,11 @@ func (c *Coordinator) handleAnnounce(tr Transport, agent string, m Msg, e int) {
 		// An evicted member contributes no line to the epoch it left,
 		// even if the dead incarnation's report already landed.
 		dm.reported = false
-		c.forgetLocked(dm.id)
-		c.eventLocked(Event{Epoch: e, Type: "evict", Member: dm.id, Agent: agent, Reason: "agent re-announced mid-epoch"})
+		c.core.Forget(dm.ID)
+		c.eventLocked(Event{Epoch: e, Type: "evict", Member: dm.ID, Agent: agent, Reason: "agent re-announced mid-epoch"})
 	case stateDone, stateDetached:
 		// Nothing to rejoin; ack so the agent stops retrying.
-		tr.Send(agent, Msg{Type: TypeWelcome, Member: dm.id, Epoch: e})
+		tr.Send(agent, Msg{Type: TypeWelcome, Member: dm.ID, Epoch: e})
 	}
 }
 
@@ -647,7 +557,10 @@ func (c *Coordinator) handleReport(agent string, m Msg, e int) {
 		return // unknown, stale or duplicate: dropped idempotently
 	}
 	dm.reported = true
-	dm.rep = m
+	dm.rep = cluster.MemberReport{
+		Epoch: m.MemberEpoch, PowerW: m.PowerW, ThrottleFrac: m.ThrottleFrac,
+		Instr: m.Instr, Done: m.Done,
+	}
 }
 
 func (c *Coordinator) handleResult(agent string, m Msg) {
@@ -670,14 +583,14 @@ func (c *Coordinator) handleDetach(agent string, m Msg, e int) {
 	switch dm.state {
 	case statePending, stateLive, stateEvicted:
 		dm.state = stateDetached
-		c.forgetLocked(dm.id)
-		c.eventLocked(Event{Epoch: e, Type: "detach", Member: dm.id, Agent: agent})
+		c.core.Forget(dm.ID)
+		c.eventLocked(Event{Epoch: e, Type: "detach", Member: dm.ID, Agent: agent})
 	}
 }
 
 // eventLocked appends a typed pressure event. Callers hold c.mu.
 func (c *Coordinator) eventLocked(ev Event) {
-	c.cfg.Metrics.event(ev.Type)
+	c.cfg.Metrics.events[ev.Type].Inc()
 	c.events = append(c.events, ev)
 	c.cond.Broadcast()
 }
@@ -705,7 +618,7 @@ func (c *Coordinator) Results() []cluster.MemberResult {
 	defer c.mu.Unlock()
 	out := make([]cluster.MemberResult, len(c.members))
 	for i, m := range c.members {
-		out[i] = cluster.MemberResult{ID: m.id, Result: m.result}
+		out[i] = cluster.MemberResult{ID: m.ID, Result: m.result}
 	}
 	return out
 }
@@ -721,14 +634,14 @@ func (c *Coordinator) Finished() (bool, error) {
 func (c *Coordinator) Status() CoordStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := CoordStatus{Epoch: c.epoch, BudgetW: c.budgetW, Arbiter: c.arb.Name(), Finished: c.finished}
+	st := CoordStatus{Epoch: c.epoch, BudgetW: c.budgetW, Arbiter: c.cfg.Arbiter.Name(), Finished: c.finished}
 	if c.runErr != nil {
 		st.Error = c.runErr.Error()
 	}
 	for _, m := range c.members {
 		st.Members = append(st.Members, MemberStatus{
-			ID: m.id, Agent: m.agent, State: m.state.String(),
-			Epochs: m.local, Total: m.total, GrantW: m.grantW,
+			ID: m.ID, Agent: m.agent, State: m.state.String(),
+			Epochs: m.Local, Total: m.total, GrantW: m.GrantW,
 		})
 	}
 	return st
@@ -738,53 +651,15 @@ func (c *Coordinator) Status() CoordStatus {
 // it; io.EOF once the run has finished with no record there. The
 // serving layer's stream loop.
 func (c *Coordinator) NextRecord(ctx context.Context, cursor int) (cluster.EpochRecord, error) {
-	var rec cluster.EpochRecord
-	err := c.next(ctx, func() (bool, error) {
-		if cursor < len(c.records) {
-			rec = c.records[cursor]
-			return true, nil
-		}
-		return false, nil
-	})
-	return rec, err
+	return httpjson.Follow(ctx, c.cond,
+		func() []cluster.EpochRecord { return c.records },
+		func() bool { return c.finished }, cursor)
 }
 
 // NextEvent blocks until the pressure event at cursor exists; io.EOF at
 // end of run.
 func (c *Coordinator) NextEvent(ctx context.Context, cursor int) (Event, error) {
-	var ev Event
-	err := c.next(ctx, func() (bool, error) {
-		if cursor < len(c.events) {
-			ev = c.events[cursor]
-			return true, nil
-		}
-		return false, nil
-	})
-	return ev, err
-}
-
-func (c *Coordinator) next(ctx context.Context, ready func() (bool, error)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer stop()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if ok, err := ready(); ok || err != nil {
-			return err
-		}
-		if c.finished {
-			return io.EOF
-		}
-		c.cond.Wait()
-	}
+	return httpjson.Follow(ctx, c.cond,
+		func() []Event { return c.events },
+		func() bool { return c.finished }, cursor)
 }

@@ -147,6 +147,12 @@ type distRun struct {
 	faults  dist.Faults
 	arbiter func() cluster.Arbiter // default NewSlackReclaim
 	cfg     dist.Config            // BudgetW/Arbiter/Expect filled in
+	targets map[string]float64     // member id → TargetBIPS contract
+	// heartbeatNs is the agents' idle heartbeat period (0: off).
+	heartbeatNs int64
+	// intercept, when set, sees every coordinator → agent delivery first
+	// and swallows it by returning true.
+	intercept func(coord *dist.Coordinator, agent string, a *dist.Agent, m dist.Msg) bool
 }
 
 // runDist wires the fixture's agents onto a SimNet (with journal-backed
@@ -178,7 +184,7 @@ func runDist(t *testing.T, r distRun) (*dist.Coordinator, error) {
 		if _, ok := byAgent[fm.agent]; !ok {
 			agents = append(agents, fm.agent)
 		}
-		byAgent[fm.agent] = append(byAgent[fm.agent], dist.MemberSpec{ID: fm.id, Spec: specJSON(t, fm.spec)})
+		byAgent[fm.agent] = append(byAgent[fm.agent], dist.MemberSpec{ID: fm.id, TargetBIPS: r.targets[fm.id], Spec: specJSON(t, fm.spec)})
 	}
 	for _, name := range agents {
 		name := name
@@ -190,12 +196,20 @@ func runDist(t *testing.T, r distRun) (*dist.Coordinator, error) {
 			a, err := dist.NewAgent(dist.AgentConfig{
 				Name: name, Members: byAgent[name],
 				Build: buildSession, Send: net.Sender(name), Clock: net.Clock(name),
-				Journal: journal,
+				Journal: journal, HeartbeatNs: r.heartbeatNs,
 			})
 			if err != nil {
 				t.Fatalf("agent %s: %v", name, err)
 			}
-			net.Register(name, a.Handle, start)
+			handle := a.Handle
+			if r.intercept != nil {
+				handle = func(m dist.Msg) {
+					if !r.intercept(coord, name, a, m) {
+						a.Handle(m)
+					}
+				}
+			}
+			net.Register(name, handle, start)
 			a.Start()
 		}
 		start()

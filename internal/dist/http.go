@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/httpjson"
 	"repro/internal/runner"
 )
 
@@ -29,7 +30,7 @@ import (
 // coordinator.go / agent.go and is exercised against SimNet; the code
 // here only moves bytes between the protocol and the network.
 
-// Typed service errors, mapped onto HTTP statuses by writeErr.
+// Typed service errors, mapped onto HTTP statuses by respond.
 var (
 	// ErrNotFound names an unknown cluster or agent id.
 	ErrNotFound = errors.New("dist: not found")
@@ -181,26 +182,9 @@ func (t *chanTransport) deliver(env Envelope) {
 // cursor, the transport closes (io.EOF after the queue drains), or ctx
 // ends.
 func (t *chanTransport) nextFeed(ctx context.Context, agent string, cursor int) (Msg, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	stop := context.AfterFunc(ctx, func() {
-		t.mu.Lock()
-		t.cond.Broadcast()
-		t.mu.Unlock()
-	})
-	defer stop()
-	for {
-		if q := t.feeds[agent]; cursor < len(q) {
-			return q[cursor], nil
-		}
-		if t.closed {
-			return Msg{}, io.EOF
-		}
-		if err := ctx.Err(); err != nil {
-			return Msg{}, err
-		}
-		t.cond.Wait()
-	}
+	return httpjson.Follow(ctx, t.cond,
+		func() []Msg { return t.feeds[agent] },
+		func() bool { return t.closed }, cursor)
 }
 
 // --- coordinator server ----------------------------------------------
@@ -252,13 +236,13 @@ func NewServer() *Server {
 func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /dist/clusters", s.create)
 	mux.HandleFunc("GET /dist/clusters", s.list)
-	mux.HandleFunc("GET /dist/clusters/{id}", s.status)
-	mux.HandleFunc("POST /dist/clusters/{id}/msgs", s.msgs)
-	mux.HandleFunc("GET /dist/clusters/{id}/feed", s.feed)
-	mux.HandleFunc("GET /dist/clusters/{id}/stream", s.stream)
-	mux.HandleFunc("GET /dist/clusters/{id}/events", s.events)
-	mux.HandleFunc("GET /dist/clusters/{id}/result", s.result)
-	mux.HandleFunc("POST /dist/clusters/{id}/budget", s.budget)
+	mux.HandleFunc("GET /dist/clusters/{id}", s.resident(s.status))
+	mux.HandleFunc("POST /dist/clusters/{id}/msgs", s.resident(s.msgs))
+	mux.HandleFunc("GET /dist/clusters/{id}/feed", s.resident(s.feed))
+	mux.HandleFunc("GET /dist/clusters/{id}/stream", s.resident(s.stream))
+	mux.HandleFunc("GET /dist/clusters/{id}/events", s.resident(s.events))
+	mux.HandleFunc("GET /dist/clusters/{id}/result", s.resident(s.result))
+	mux.HandleFunc("POST /dist/clusters/{id}/budget", s.resident(s.budget))
 	mux.HandleFunc("DELETE /dist/clusters/{id}", s.del)
 }
 
@@ -326,15 +310,14 @@ func validID(s string) bool {
 
 func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 	var req ClusterCreateRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
+	if !respond.Decode(w, r, &req) {
 		return
 	}
 	arb := cluster.Arbiter(nil)
 	if req.Arbiter != "" {
 		a, ok := cluster.ArbiterByName(req.Arbiter)
 		if !ok {
-			writeErr(w, fmt.Errorf("%w: unknown arbiter %q (want %s)", runner.ErrInvalidConfig, req.Arbiter, strings.Join(cluster.ArbiterNames(), ", ")))
+			respond.Error(w, fmt.Errorf("%w: unknown arbiter %q (want %s)", runner.ErrInvalidConfig, req.Arbiter, strings.Join(cluster.ArbiterNames(), ", ")))
 			return
 		}
 		arb = a
@@ -350,7 +333,7 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 		Metrics:         s.Metrics,
 	})
 	if err != nil {
-		writeErr(w, err)
+		respond.Error(w, err)
 		return
 	}
 	s.mu.Lock()
@@ -360,12 +343,12 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 		id = "dc" + strconv.Itoa(s.nextID)
 	} else if !validID(id) {
 		s.mu.Unlock()
-		writeErr(w, fmt.Errorf("%w: cluster id %q, want 1-64 of [A-Za-z0-9._-]", runner.ErrInvalidConfig, id))
+		respond.Error(w, fmt.Errorf("%w: cluster id %q, want 1-64 of [A-Za-z0-9._-]", runner.ErrInvalidConfig, id))
 		return
 	}
 	if _, dup := s.clusters[id]; dup {
 		s.mu.Unlock()
-		writeErr(w, fmt.Errorf("%w: cluster %q", ErrExists, id))
+		respond.Error(w, fmt.Errorf("%w: cluster %q", ErrExists, id))
 		return
 	}
 	hc := &hostedCluster{id: id, coord: coord, tr: newChanTransport()}
@@ -378,17 +361,22 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 		hc.tr.Close()
 	}()
 	w.Header().Set("Location", "/dist/clusters/"+id)
-	writeJSON(w, http.StatusCreated, ClusterInfo{ID: id, CoordStatus: coord.Status()})
+	httpjson.WriteJSON(w, http.StatusCreated, ClusterInfo{ID: id, CoordStatus: coord.Status()})
 }
 
-func (s *Server) lookup(id string) (*hostedCluster, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hc, ok := s.clusters[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: cluster %q", ErrNotFound, id)
+// resident adapts a handler that serves one resident cluster: it
+// resolves the path's {id} and answers unknown ids itself.
+func (s *Server) resident(h func(http.ResponseWriter, *http.Request, *hostedCluster)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.mu.Lock()
+		hc, ok := s.clusters[r.PathValue("id")]
+		s.mu.Unlock()
+		if !ok {
+			respond.Error(w, fmt.Errorf("%w: cluster %q", ErrNotFound, r.PathValue("id")))
+			return
+		}
+		h(w, r, hc)
 	}
-	return hc, nil
 }
 
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {
@@ -399,41 +387,31 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	writeJSON(w, http.StatusOK, infos)
+	httpjson.WriteJSON(w, http.StatusOK, infos)
 }
 
-func (s *Server) status(w http.ResponseWriter, r *http.Request) {
-	hc, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ClusterInfo{ID: hc.id, CoordStatus: hc.coord.Status()})
+func (s *Server) status(w http.ResponseWriter, r *http.Request, hc *hostedCluster) {
+	httpjson.WriteJSON(w, http.StatusOK, ClusterInfo{ID: hc.id, CoordStatus: hc.coord.Status()})
 }
 
 // msgs delivers one agent → coordinator wire message. The body is one
 // Msg frame, decoded with the same strict DecodeMsg the fuzzer beats
 // on — hostile bytes get a typed 400, never a panic or a hollow 200.
-func (s *Server) msgs(w http.ResponseWriter, r *http.Request) {
-	hc, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) msgs(w http.ResponseWriter, r *http.Request, hc *hostedCluster) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxResultBytes+1))
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: message body: %v", ErrBadMessage, err))
+		respond.Error(w, fmt.Errorf("%w: message body: %v", ErrBadMessage, err))
 		return
 	}
 	m, err := DecodeMsg(body)
 	if err != nil {
 		s.Metrics.wireMsgs.Inc()
-		writeErr(w, err)
+		respond.Error(w, err)
 		return
 	}
 	if m.Agent == "" {
 		s.Metrics.wireMsgs.Inc()
-		writeErr(w, fmt.Errorf("%w: %s message names no agent", ErrBadMessage, m.Type))
+		respond.Error(w, fmt.Errorf("%w: %s message names no agent", ErrBadMessage, m.Type))
 		return
 	}
 	hc.tr.deliver(Envelope{Agent: m.Agent, Msg: m})
@@ -444,63 +422,43 @@ func (s *Server) msgs(w http.ResponseWriter, r *http.Request) {
 // NDJSON wire frames. ?from=N skips the first N queued messages, so a
 // reconnecting agent replays nothing it already handled; keepalives
 // are {"type":"heartbeat"} frames and do not advance the cursor.
-func (s *Server) feed(w http.ResponseWriter, r *http.Request) {
-	hc, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) feed(w http.ResponseWriter, r *http.Request, hc *hostedCluster) {
 	agent := r.URL.Query().Get("agent")
 	if agent == "" {
-		writeErr(w, fmt.Errorf("%w: feed needs ?agent=", runner.ErrInvalidConfig))
+		respond.Error(w, fmt.Errorf("%w: feed needs ?agent=", runner.ErrInvalidConfig))
 		return
 	}
-	streamNDJSON(w, r, s.heartbeat(), Msg{Type: TypeHeartbeat},
+	s.streamNDJSON(w, r, Msg{Type: TypeHeartbeat},
 		func(ctx context.Context, cursor int) (any, error) {
 			return hc.tr.nextFeed(ctx, agent, cursor)
 		})
 }
 
-func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
-	hc, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	streamNDJSON(w, r, s.heartbeat(), heartbeatLine{Heartbeat: true},
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, hc *hostedCluster) {
+	s.streamNDJSON(w, r, httpjson.Heartbeat{Heartbeat: true},
 		func(ctx context.Context, cursor int) (any, error) {
 			return hc.coord.NextRecord(ctx, cursor)
 		})
 }
 
-func (s *Server) events(w http.ResponseWriter, r *http.Request) {
-	hc, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	streamNDJSON(w, r, s.heartbeat(), heartbeatLine{Heartbeat: true},
+func (s *Server) events(w http.ResponseWriter, r *http.Request, hc *hostedCluster) {
+	s.streamNDJSON(w, r, httpjson.Heartbeat{Heartbeat: true},
 		func(ctx context.Context, cursor int) (any, error) {
 			return hc.coord.NextEvent(ctx, cursor)
 		})
 }
 
-func (s *Server) result(w http.ResponseWriter, r *http.Request) {
-	hc, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) result(w http.ResponseWriter, r *http.Request, hc *hostedCluster) {
 	finished, runErr := hc.coord.Finished()
 	if !finished {
-		writeErr(w, fmt.Errorf("%w: cluster %q", ErrNotFinished, hc.id))
+		respond.Error(w, fmt.Errorf("%w: cluster %q", ErrNotFinished, hc.id))
 		return
 	}
 	res := ClusterResult{Results: hc.coord.Results()}
 	if runErr != nil {
 		res.Error = runErr.Error()
 	}
-	writeJSON(w, http.StatusOK, res)
+	httpjson.WriteJSON(w, http.StatusOK, res)
 }
 
 // budgetRequest is the body of POST /dist/clusters/{id}/budget.
@@ -508,22 +466,12 @@ type budgetRequest struct {
 	BudgetW float64 `json:"budget_w"`
 }
 
-func (s *Server) budget(w http.ResponseWriter, r *http.Request) {
-	hc, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) budget(w http.ResponseWriter, r *http.Request, hc *hostedCluster) {
 	var req budgetRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
+	if !respond.Decode(w, r, &req) {
 		return
 	}
-	if err := hc.coord.SetBudgetW(req.BudgetW); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]float64{"budget_w": req.BudgetW})
+	respond.Reply(w, http.StatusOK, map[string]float64{"budget_w": req.BudgetW}, hc.coord.SetBudgetW(req.BudgetW))
 }
 
 func (s *Server) del(w http.ResponseWriter, r *http.Request) {
@@ -535,14 +483,29 @@ func (s *Server) del(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		writeErr(w, fmt.Errorf("%w: cluster %q", ErrNotFound, id))
+		respond.Error(w, fmt.Errorf("%w: cluster %q", ErrNotFound, id))
 		return
 	}
 	hc.tr.Close()
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) heartbeat() time.Duration { return effectiveHeartbeat(s.StreamHeartbeat) }
+// streamNDJSON runs the shared live-follow loop for one of the server's
+// streams (the caller has already resolved the cluster): idle streams
+// carry the keepalive value, and the stream's fate lands in the dist
+// termination counters.
+func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, keepalive any, next func(ctx context.Context, cursor int) (any, error)) {
+	hb := s.StreamHeartbeat
+	switch {
+	case hb < 0:
+		hb = 0
+	case hb == 0:
+		hb = defaultStreamHeartbeat
+	}
+	if err := httpjson.StreamNDJSON(w, r, hb, keepalive, s.Metrics.streams, nil, next); err != nil {
+		respond.Error(w, err)
+	}
+}
 
 // --- agent host -------------------------------------------------------
 
@@ -664,13 +627,12 @@ type AgentInfo struct {
 
 func (h *AgentHost) create(w http.ResponseWriter, r *http.Request) {
 	var req AgentCreateRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
+	if !respond.Decode(w, r, &req) {
 		return
 	}
 	coordURL := strings.TrimRight(req.Coordinator, "/")
 	if coordURL == "" {
-		writeErr(w, fmt.Errorf("%w: agent names no coordinator URL", runner.ErrInvalidConfig))
+		respond.Error(w, fmt.Errorf("%w: agent names no coordinator URL", runner.ErrInvalidConfig))
 		return
 	}
 	h.mu.Lock()
@@ -680,12 +642,12 @@ func (h *AgentHost) create(w http.ResponseWriter, r *http.Request) {
 		id = "ag" + strconv.Itoa(h.nextID)
 	} else if !validID(id) {
 		h.mu.Unlock()
-		writeErr(w, fmt.Errorf("%w: agent id %q, want 1-64 of [A-Za-z0-9._-]", runner.ErrInvalidConfig, id))
+		respond.Error(w, fmt.Errorf("%w: agent id %q, want 1-64 of [A-Za-z0-9._-]", runner.ErrInvalidConfig, id))
 		return
 	}
 	if _, dup := h.agents[id]; dup {
 		h.mu.Unlock()
-		writeErr(w, fmt.Errorf("%w: agent %q", ErrExists, id))
+		respond.Error(w, fmt.Errorf("%w: agent %q", ErrExists, id))
 		return
 	}
 	h.mu.Unlock()
@@ -720,7 +682,7 @@ func (h *AgentHost) create(w http.ResponseWriter, r *http.Request) {
 		Metrics:           h.Metrics,
 	})
 	if err != nil {
-		writeErr(w, err)
+		respond.Error(w, err)
 		return
 	}
 	ha.agent = agent
@@ -728,7 +690,7 @@ func (h *AgentHost) create(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	if _, dup := h.agents[id]; dup {
 		h.mu.Unlock()
-		writeErr(w, fmt.Errorf("%w: agent %q", ErrExists, id))
+		respond.Error(w, fmt.Errorf("%w: agent %q", ErrExists, id))
 		return
 	}
 	h.agents[id] = ha
@@ -741,7 +703,7 @@ func (h *AgentHost) create(w http.ResponseWriter, r *http.Request) {
 	agent.Start()
 
 	w.Header().Set("Location", "/dist/agents/"+id)
-	writeJSON(w, http.StatusCreated, AgentInfo{ID: id, Coordinator: coordURL, AgentStatus: agent.Status()})
+	httpjson.WriteJSON(w, http.StatusCreated, AgentInfo{ID: id, Coordinator: coordURL, AgentStatus: agent.Status()})
 }
 
 // runSender drains the agent's upstream queue into POST /msgs. Frames
@@ -860,7 +822,7 @@ func (h *AgentHost) list(w http.ResponseWriter, r *http.Request) {
 	}
 	h.mu.Unlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	writeJSON(w, http.StatusOK, infos)
+	httpjson.WriteJSON(w, http.StatusOK, infos)
 }
 
 func (h *AgentHost) status(w http.ResponseWriter, r *http.Request) {
@@ -868,10 +830,10 @@ func (h *AgentHost) status(w http.ResponseWriter, r *http.Request) {
 	ha, ok := h.agents[r.PathValue("id")]
 	h.mu.Unlock()
 	if !ok {
-		writeErr(w, fmt.Errorf("%w: agent %q", ErrNotFound, r.PathValue("id")))
+		respond.Error(w, fmt.Errorf("%w: agent %q", ErrNotFound, r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, AgentInfo{ID: ha.id, Coordinator: ha.coordinator, AgentStatus: ha.agent.Status()})
+	httpjson.WriteJSON(w, http.StatusOK, AgentInfo{ID: ha.id, Coordinator: ha.coordinator, AgentStatus: ha.agent.Status()})
 }
 
 func (h *AgentHost) del(w http.ResponseWriter, r *http.Request) {
@@ -883,7 +845,7 @@ func (h *AgentHost) del(w http.ResponseWriter, r *http.Request) {
 	}
 	h.mu.Unlock()
 	if !ok {
-		writeErr(w, fmt.Errorf("%w: agent %q", ErrNotFound, id))
+		respond.Error(w, fmt.Errorf("%w: agent %q", ErrNotFound, id))
 		return
 	}
 	// Detach queues the withdrawal notices; cancelling lets the sender
@@ -895,113 +857,19 @@ func (h *AgentHost) del(w http.ResponseWriter, r *http.Request) {
 
 // --- shared HTTP plumbing --------------------------------------------
 
-const (
-	// maxBodyBytes bounds control-plane request bodies (cluster and
-	// agent creates); /msgs has its own wire-level cap.
-	maxBodyBytes = 1 << 20
-	// defaultStreamHeartbeat keeps idle NDJSON streams visibly alive
-	// through proxies without a write timeout.
-	defaultStreamHeartbeat = 15 * time.Second
-)
+// defaultStreamHeartbeat keeps idle NDJSON streams visibly alive
+// through proxies without a write timeout.
+const defaultStreamHeartbeat = 15 * time.Second
 
-func effectiveHeartbeat(d time.Duration) time.Duration {
-	switch {
-	case d < 0:
-		return 0
-	case d == 0:
-		return defaultStreamHeartbeat
-	}
-	return d
-}
-
-// heartbeatLine is the idle keepalive on record/event streams, exactly
-// {"heartbeat":true} — the same shape fastcapd's session streams use,
-// skipped by golden comparators.
-type heartbeatLine struct {
-	Heartbeat bool `json:"heartbeat"`
-}
-
-// writeErr maps typed service errors onto HTTP statuses.
-func writeErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
+// respond maps typed service errors onto HTTP statuses.
+var respond = httpjson.Responder(func(err error) int {
 	switch {
 	case errors.Is(err, ErrNotFound):
-		code = http.StatusNotFound
+		return http.StatusNotFound
 	case errors.Is(err, ErrBadMessage), errors.Is(err, runner.ErrInvalidConfig):
-		code = http.StatusBadRequest
+		return http.StatusBadRequest
 	case errors.Is(err, ErrExists), errors.Is(err, ErrNotFinished):
-		code = http.StatusConflict
+		return http.StatusConflict
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// decodeBody strictly decodes a JSON request body.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: request body: %w", runner.ErrInvalidConfig, err)
-	}
-	return nil
-}
-
-// streamNDJSON is the shared live-follow loop: parse ?from, commit the
-// NDJSON header, then one record per line until next fails. When no
-// record lands within hb the keepalive value is emitted and the same
-// cursor retried, so idle streams stay alive without a write timeout;
-// keepalives never advance the cursor.
-func streamNDJSON(w http.ResponseWriter, r *http.Request, hb time.Duration, keepalive any, next func(ctx context.Context, cursor int) (any, error)) {
-	from := 0
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, fmt.Errorf("%w: stream cursor %q, want a non-negative integer", runner.ErrInvalidConfig, v))
-			return
-		}
-		from = n
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v any) bool {
-		if err := enc.Encode(v); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	for cursor := from; ; {
-		ctx, cancel := r.Context(), context.CancelFunc(nil)
-		if hb > 0 {
-			ctx, cancel = context.WithTimeout(ctx, hb)
-		}
-		rec, err := next(ctx, cursor)
-		if cancel != nil {
-			cancel()
-		}
-		if err != nil {
-			if hb > 0 && errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil {
-				if !emit(keepalive) {
-					return
-				}
-				continue
-			}
-			// io.EOF: clean end. Context errors: the client left. Either
-			// way the response can only end here.
-			return
-		}
-		if !emit(rec) {
-			return
-		}
-		cursor++
-	}
-}
+	return http.StatusInternalServerError
+})

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/httpjson"
+	"repro/internal/metrics"
 	"repro/internal/serve"
 )
 
@@ -75,7 +77,7 @@ func readStream(t *testing.T, url string) [][]byte {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
-		var hb heartbeatLine
+		var hb httpjson.Heartbeat
 		if json.Unmarshal(sc.Bytes(), &hb) == nil && hb.Heartbeat {
 			continue
 		}
@@ -92,7 +94,8 @@ func readStream(t *testing.T, url string) [][]byte {
 // through POST /msgs and the /feed stream — and checks the arbitration
 // invariants on the streamed records.
 func TestDistHTTPEndToEnd(t *testing.T) {
-	ts, _, _ := newDistServer(t, "")
+	ts, srv, _ := newDistServer(t, "")
+	srv.Metrics = NewMetrics(metrics.NewRegistry())
 
 	resp := postJSON(t, ts.URL+"/dist/clusters",
 		`{"id":"c1","budget_w":20,"arbiter":"slack","expect":3,"epoch_deadline_ms":10000}`)
@@ -171,6 +174,19 @@ func TestDistHTTPEndToEnd(t *testing.T) {
 		if mr.Result == nil {
 			t.Fatalf("member %s finished without a result", mr.ID)
 		}
+	}
+
+	// The hosted coordinator fed the epoch core's families, and both
+	// streams read above ran to their end and were counted like serve
+	// streams are.
+	if got := srv.Metrics.core.Epochs.Value(); got != 5 {
+		t.Errorf("fastcap_dist_epochs_total = %d, want 5", got)
+	}
+	if got := srv.Metrics.core.ArbitrationSeconds.Summary().Count(); got != 5 {
+		t.Errorf("fastcap_dist_arbitration_seconds observed %d rounds, want 5", got)
+	}
+	if got := srv.Metrics.streams.Completed.Value(); got < 2 {
+		t.Errorf("completed stream terminations = %d, want the record and the event stream", got)
 	}
 }
 
@@ -346,4 +362,108 @@ func TestDistHTTPRejectsHostileInput(t *testing.T) {
 	}
 	defer dresp.Body.Close()
 	wantStatus(t, dresp, http.StatusNotFound)
+}
+
+// do issues a bodiless request and returns the response (closed at
+// cleanup).
+func do(t *testing.T, method, url string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// The control plane around the protocol: listing and inspecting
+// clusters and agents, retargeting a hosted cluster, refusing malformed
+// stream requests before any stream starts, and deleting — an agent
+// DELETE withdraws its members with a detach the coordinator records, a
+// cluster DELETE makes its routes 404.
+func TestDistHTTPControlPlane(t *testing.T) {
+	ts, _, _ := newDistServer(t, "")
+	// Standalone handlers serve the same routes as the shared mux.
+	coordOnly := httptest.NewServer(NewServer().Handler())
+	defer coordOnly.Close()
+	wantStatus(t, do(t, http.MethodGet, coordOnly.URL+"/dist/clusters"), http.StatusOK)
+	agentsOnly := httptest.NewServer(NewAgentHost(serve.SessionFromSpec, "").Handler())
+	defer agentsOnly.Close()
+	wantStatus(t, do(t, http.MethodGet, agentsOnly.URL+"/dist/agents"), http.StatusOK)
+
+	// Two expected members, only one ever announced: the cluster idles in
+	// its gather phase while the control plane is exercised.
+	resp := postJSON(t, ts.URL+"/dist/clusters", `{"budget_w":20,"expect":2,"join_timeout_ms":60000}`)
+	wantStatus(t, resp, http.StatusCreated)
+	var info ClusterInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || info.ID != "dc1" {
+		t.Fatalf("created cluster %+v (%v), want generated id dc1", info, err)
+	}
+	coordURL := ts.URL + "/dist/clusters/dc1"
+
+	resp = postJSON(t, ts.URL+"/dist/agents", fmt.Sprintf(
+		`{"coordinator":%q,"members":[{"id":"m1","session":%s}]}`, coordURL, sessionSpec("MIX1", 4)))
+	wantStatus(t, resp, http.StatusCreated)
+	var ainfo AgentInfo
+	if err := json.NewDecoder(resp.Body).Decode(&ainfo); err != nil || ainfo.ID != "ag1" {
+		t.Fatalf("created agent %+v (%v), want generated id ag1", ainfo, err)
+	}
+
+	var clusters []ClusterInfo
+	if err := json.NewDecoder(do(t, http.MethodGet, ts.URL+"/dist/clusters").Body).Decode(&clusters); err != nil || len(clusters) != 1 || clusters[0].ID != "dc1" {
+		t.Errorf("cluster list %+v (%v), want [dc1]", clusters, err)
+	}
+	var agents []AgentInfo
+	if err := json.NewDecoder(do(t, http.MethodGet, ts.URL+"/dist/agents").Body).Decode(&agents); err != nil || len(agents) != 1 || agents[0].Coordinator != coordURL {
+		t.Errorf("agent list %+v (%v), want ag1 → %s", agents, err, coordURL)
+	}
+	wantStatus(t, do(t, http.MethodGet, ts.URL+"/dist/agents/ag1"), http.StatusOK)
+	wantStatus(t, do(t, http.MethodGet, ts.URL+"/dist/agents/nope"), http.StatusNotFound)
+	wantStatus(t, do(t, http.MethodDelete, ts.URL+"/dist/agents/nope"), http.StatusNotFound)
+
+	wantStatus(t, postJSON(t, coordURL+"/budget", `{"budget_w":30}`), http.StatusOK)
+	wantStatus(t, postJSON(t, coordURL+"/budget", `{"budget_w":-3}`), http.StatusBadRequest)
+	wantStatus(t, postJSON(t, coordURL+"/budget", `{"budget":30}`), http.StatusBadRequest)
+	if err := json.NewDecoder(do(t, http.MethodGet, coordURL).Body).Decode(&info); err != nil || info.BudgetW != 30 {
+		t.Errorf("status after retarget %+v (%v), want budget 30 W", info, err)
+	}
+
+	// Malformed stream requests are refused with a status, not a stream.
+	wantStatus(t, do(t, http.MethodGet, coordURL+"/feed"), http.StatusBadRequest)
+	wantStatus(t, do(t, http.MethodGet, coordURL+"/stream?from=minus-one"), http.StatusBadRequest)
+	wantStatus(t, do(t, http.MethodGet, coordURL+"/events?from=-1"), http.StatusBadRequest)
+
+	// Wait for the announce to land, then delete the agent: its member
+	// withdraws with a detach the coordinator records.
+	memberState := func() string {
+		var ci ClusterInfo
+		if err := json.NewDecoder(do(t, http.MethodGet, coordURL).Body).Decode(&ci); err != nil {
+			t.Fatal(err)
+		}
+		if len(ci.Members) == 0 {
+			return ""
+		}
+		return ci.Members[0].State
+	}
+	waitFor := func(state string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for memberState() != state {
+			if time.Now().After(deadline) {
+				t.Fatalf("member state %q, want %q", memberState(), state)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	waitFor("pending")
+	wantStatus(t, do(t, http.MethodDelete, ts.URL+"/dist/agents/ag1"), http.StatusNoContent)
+	waitFor("detached")
+
+	wantStatus(t, do(t, http.MethodDelete, coordURL), http.StatusNoContent)
+	wantStatus(t, do(t, http.MethodGet, coordURL), http.StatusNotFound)
+	wantStatus(t, do(t, http.MethodGet, coordURL+"/stream"), http.StatusNotFound)
 }

@@ -1,6 +1,10 @@
 package dist
 
-import "repro/internal/metrics"
+import (
+	"repro/internal/cluster"
+	"repro/internal/httpjson"
+	"repro/internal/metrics"
+)
 
 // Metrics is the distributed layer's instrumentation: a value struct of
 // pre-resolved, nil-safe handles shared by the coordinator service and
@@ -9,10 +13,20 @@ import "repro/internal/metrics"
 // unauthenticated peers, and letting the network mint unbounded label
 // sets would hand it the scrape's memory.
 type Metrics struct {
-	joins, readmits, evicts, detaches, abandons *metrics.Counter
+	// events counts membership events by type. The keys are fixed at
+	// registration: a type the wire invents finds no counter and is
+	// dropped rather than minting a label.
+	events map[string]*metrics.Counter
+
+	// core feeds the epoch core of every hosted coordinator: the same
+	// families the serving layer exports per in-process cluster, minus
+	// the last-epoch gauges — summed over clusters a gauge means nothing,
+	// so those handles stay nil (no-ops).
+	core cluster.Metrics
+	// streams accounts the NDJSON streams' keepalives and endings.
+	streams httpjson.StreamCounters
 
 	heartbeats     *metrics.Counter
-	epochs         *metrics.Counter
 	journalReplays *metrics.Counter
 	recoveries     *metrics.Counter
 	wireMsgs       *metrics.Counter
@@ -29,38 +43,38 @@ func NewMetrics(reg *metrics.Registry) Metrics {
 		"Coordinator membership events, by type (join, readmit, evict, detach, abandon).", "type")
 	wire := reg.CounterVec("fastcap_dist_wire_errors_total",
 		"Frames refused by the wire decoder, by surface: msgs (coordinator inbox) or feed (agent follower).", "surface")
+	ends := reg.CounterVec("fastcap_dist_stream_terminations_total",
+		"NDJSON stream endings, by cause: completed (stream reached its end) or client_gone (consumer hung up first).", "cause")
 	return Metrics{
-		joins:    ev.With("join"),
-		readmits: ev.With("readmit"),
-		evicts:   ev.With("evict"),
-		detaches: ev.With("detach"),
-		abandons: ev.With("abandon"),
+		events: map[string]*metrics.Counter{
+			"join": ev.With("join"), "readmit": ev.With("readmit"), "evict": ev.With("evict"),
+			"detach": ev.With("detach"), "abandon": ev.With("abandon"),
+		},
 		heartbeats: reg.Counter("fastcap_dist_heartbeats_total",
 			"Agent liveness heartbeats received by hosted coordinators."),
-		epochs: reg.Counter("fastcap_dist_epochs_total",
-			"Distributed cluster epochs completed by hosted coordinators."),
+		core: cluster.Metrics{
+			Epochs: reg.Counter("fastcap_dist_epochs_total",
+				"Distributed cluster epochs completed by hosted coordinators."),
+			ArbitrationSeconds: reg.Histogram("fastcap_dist_arbitration_seconds",
+				"Latency of one arbitration round (ComputeGrants).", cluster.ArbitrationBuckets),
+			FillPasses: reg.Counter("fastcap_dist_waterfill_passes_total",
+				"Water-fill redistribution passes accumulated across epochs."),
+			SLOViolations: reg.Counter("fastcap_dist_slo_violations_total",
+				"Member transitions into SLO violation (throughput fell below the contracted band)."),
+			PredictionAbsErrW: reg.Histogram("fastcap_dist_prediction_abs_error_w",
+				"Distribution of per-epoch mean absolute prediction error, in watts.", cluster.PredictionErrorBuckets),
+		},
+		streams: httpjson.StreamCounters{
+			Heartbeats: reg.Counter("fastcap_dist_stream_heartbeats_total",
+				"Keepalive lines emitted on idle NDJSON streams."),
+			Completed:  ends.With("completed"),
+			ClientGone: ends.With("client_gone"),
+		},
 		journalReplays: reg.Counter("fastcap_dist_journal_replays_total",
 			"Journaled grants replayed during agent restart recovery."),
 		recoveries: reg.Counter("fastcap_dist_recoveries_total",
 			"Agents rebuilt from a persisted journal at construction."),
 		wireMsgs: wire.With("msgs"),
 		wireFeed: wire.With("feed"),
-	}
-}
-
-// event counts one membership event by type; unknown types (there are
-// none today) are dropped rather than minting a label from wire input.
-func (m Metrics) event(typ string) {
-	switch typ {
-	case "join":
-		m.joins.Inc()
-	case "readmit":
-		m.readmits.Inc()
-	case "evict":
-		m.evicts.Inc()
-	case "detach":
-		m.detaches.Inc()
-	case "abandon":
-		m.abandons.Inc()
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // forgetSpy wraps the predictive arbiter and records every Forget call
-// the coordinator makes, delegating to the real model. Embedding keeps
-// the wrapper satisfying IDRebalancer and PredictionErrorReporter
-// through promotion, while the override intercepts MemberForgetter.
+// the coordinator makes, delegating to the real model. Embedding
+// promotes Name and Rebalance, so the wrapper is a cluster.Arbiter whose
+// only override is Forget.
 type forgetSpy struct {
 	*cluster.PredictiveArbiter
 	forgets []string

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -12,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/httpjson"
 	"repro/internal/runner"
 )
 
@@ -614,27 +614,9 @@ func (m *Manager) ClusterNext(ctx context.Context, id string, cursor int) (clust
 	if err != nil {
 		return cluster.EpochRecord{}, err
 	}
-	stop := context.AfterFunc(ctx, func() {
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	})
-	defer stop()
-
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return cluster.EpochRecord{}, err
-		}
-		if cursor < len(g.recs) {
-			return g.recs[cursor], nil
-		}
-		if g.state.Terminal() || g.closed {
-			return cluster.EpochRecord{}, io.EOF
-		}
-		g.cond.Wait()
-	}
+	return httpjson.Follow(ctx, g.cond,
+		func() []cluster.EpochRecord { return g.recs },
+		func() bool { return g.state.Terminal() || g.closed }, cursor)
 }
 
 // ClusterResult returns the finalized per-member aggregates of a

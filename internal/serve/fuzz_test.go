@@ -12,7 +12,7 @@ import (
 
 // FuzzClusterRequest drives the cluster-create and member-attach JSON
 // request path: any byte string must either decode-fail (the handler's
-// 400), resolve cleanly, or yield a typed error that writeErr maps to a
+// 400), resolve cleanly, or yield a typed error that respond maps to a
 // 4xx — malformed budgets, duplicate member ids, over-MaxSessions
 // groups and arbitrary mutations must never panic or surface as a 5xx.
 // resolve is the exact validation the handlers run before any simulator
@@ -69,7 +69,7 @@ func FuzzClusterRequest(f *testing.F) {
 				t.Fatalf("untyped request error: %v", err)
 			}
 			rw := httptest.NewRecorder()
-			writeErr(rw, err)
+			respond.Error(rw, err)
 			if rw.Code < 400 || rw.Code >= 500 {
 				t.Fatalf("request error mapped to %d, want a 4xx: %v", rw.Code, err)
 			}

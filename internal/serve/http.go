@@ -2,13 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/runner"
 )
 
@@ -71,48 +68,26 @@ type handler struct {
 	m *Manager
 }
 
-// maxBodyBytes bounds request bodies; session requests are tiny.
-const maxBodyBytes = 1 << 20
-
-// writeErr maps typed service errors onto HTTP statuses with a JSON
-// error body.
-func writeErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
+// respond maps typed service errors onto HTTP statuses (with a JSON
+// error body).
+var respond = httpjson.Responder(func(err error) int {
 	switch {
 	case errors.Is(err, ErrNotFound), errors.Is(err, ErrNoRecording):
-		code = http.StatusNotFound
+		return http.StatusNotFound
 	case errors.Is(err, runner.ErrInvalidConfig):
-		code = http.StatusBadRequest
+		return http.StatusBadRequest
 	case errors.Is(err, ErrNotFinished), errors.Is(err, ErrFinished):
-		code = http.StatusConflict
+		return http.StatusConflict
 	case errors.Is(err, ErrTooManySessions):
-		code = http.StatusTooManyRequests
+		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
-		code = http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-// decodeBody strictly decodes a JSON request body: unknown fields are
-// configuration typos, not forward compatibility, at this API's scale.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: request body: %w", runner.ErrInvalidConfig, err)
-	}
-	return nil
-}
+	return http.StatusInternalServerError
+})
 
 func (h *handler) health(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "sessions": h.m.Count()})
+	httpjson.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "sessions": h.m.Count()})
 }
 
 // ready is the readiness probe, distinct from liveness: a draining
@@ -121,124 +96,41 @@ func (h *handler) health(w http.ResponseWriter, r *http.Request) {
 // smoke scripts poll it instead of sleeping).
 func (h *handler) ready(w http.ResponseWriter, r *http.Request) {
 	if h.m.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "draining": true})
+		httpjson.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "draining": true})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "sessions": h.m.Count()})
+	httpjson.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "sessions": h.m.Count()})
 }
 
 func (h *handler) create(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
+	if !respond.Decode(w, r, &req) {
 		return
 	}
 	st, err := h.m.Create(req)
-	if err != nil {
-		writeErr(w, err)
-		return
+	if err == nil {
+		w.Header().Set("Location", "/sessions/"+st.ID)
 	}
-	w.Header().Set("Location", "/sessions/"+st.ID)
-	writeJSON(w, http.StatusCreated, st)
+	respond.Reply(w, http.StatusCreated, st, err)
 }
 
 func (h *handler) list(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.m.List())
+	httpjson.WriteJSON(w, http.StatusOK, h.m.List())
 }
 
 func (h *handler) status(w http.ResponseWriter, r *http.Request) {
 	st, err := h.m.Status(r.PathValue("id"))
+	respond.Reply(w, http.StatusOK, st, err)
+}
+
+// streamNDJSON runs the shared live-follow loop (httpjson.StreamNDJSON)
+// for one of the manager's streams: lookup resolves the id before the
+// 200 is committed, idle streams carry {"heartbeat":true} keepalives,
+// and the stream's fate lands in the manager's termination counters.
+func (h *handler) streamNDJSON(w http.ResponseWriter, r *http.Request, lookup func() error, next func(ctx context.Context, cursor int) (any, error)) {
+	err := httpjson.StreamNDJSON(w, r, h.m.streamHeartbeat(), httpjson.Heartbeat{Heartbeat: true}, h.m.met.streams, lookup, next)
 	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// streamHeartbeatLine is the idle keepalive record NDJSON streams emit
-// between data lines: exactly {"heartbeat":true}. It is not an epoch
-// record — golden comparators skip lines carrying the heartbeat key,
-// and a reconnecting consumer's ?from cursor counts data lines only.
-type streamHeartbeatLine struct {
-	Heartbeat bool `json:"heartbeat"`
-}
-
-// streamNDJSON is the shared live-follow loop behind the session and
-// cluster stream endpoints: parse ?from, resolve the id via lookup
-// *before* committing the 200 and the NDJSON header, then encode one
-// record per line until next fails. ?from=N starts mid-stream — a
-// reconnecting consumer resumes where it left off, records being stable
-// once emitted. When hb > 0 and no record lands at the cursor for that
-// long, a {"heartbeat":true} line is emitted and the same cursor is
-// retried — idle streams stay visibly alive without a write timeout.
-//
-// met accounts each stream's fate: heartbeat lines as they are emitted,
-// and the termination as either completed (the stream reached its end —
-// terminal session, deletion) or client_gone (the consumer hung up or
-// the write failed mid-stream, the service-side view of EPIPE).
-func streamNDJSON(w http.ResponseWriter, r *http.Request, hb time.Duration, met Metrics, lookup func() error, next func(ctx context.Context, cursor int) (any, error)) {
-	from := 0
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, fmt.Errorf("%w: stream cursor %q, want a non-negative integer", runner.ErrInvalidConfig, v))
-			return
-		}
-		from = n
-	}
-	if err := lookup(); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v any) bool {
-		if err := enc.Encode(v); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	for cursor := from; ; {
-		ctx, cancel := r.Context(), context.CancelFunc(nil)
-		if hb > 0 {
-			ctx, cancel = context.WithTimeout(ctx, hb)
-		}
-		rec, err := next(ctx, cursor)
-		if cancel != nil {
-			cancel()
-		}
-		if err != nil {
-			// An expired heartbeat window with the client still there
-			// means idle, not done: emit the keepalive and retry the
-			// same cursor.
-			if hb > 0 && errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil {
-				if !emit(streamHeartbeatLine{Heartbeat: true}) {
-					met.streamClientGone.Inc()
-					return
-				}
-				met.streamHeartbeats.Inc()
-				continue
-			}
-			// io.EOF: clean end of stream. Context errors: the client left.
-			// ErrNotFound: deleted mid-stream. All end the response; HTTP
-			// has no status left to change.
-			if r.Context().Err() != nil {
-				met.streamClientGone.Inc()
-			} else {
-				met.streamCompleted.Inc()
-			}
-			return
-		}
-		if !emit(rec) {
-			met.streamClientGone.Inc()
-			return
-		}
-		cursor++
+		respond.Error(w, err)
 	}
 }
 
@@ -247,7 +139,7 @@ func streamNDJSON(w http.ResponseWriter, r *http.Request, hb time.Duration, met 
 // away).
 func (h *handler) stream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	streamNDJSON(w, r, h.m.streamHeartbeat(), h.m.met,
+	h.streamNDJSON(w, r,
 		func() error { _, err := h.m.Status(id); return err },
 		func(ctx context.Context, cursor int) (any, error) { return h.m.Next(ctx, id, cursor) })
 }
@@ -259,24 +151,16 @@ type budgetRequest struct {
 
 func (h *handler) budget(w http.ResponseWriter, r *http.Request) {
 	var req budgetRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
+	if !respond.Decode(w, r, &req) {
 		return
 	}
-	if err := h.m.SetBudget(r.PathValue("id"), req.BudgetFrac); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]float64{"budget_frac": req.BudgetFrac})
+	err := h.m.SetBudget(r.PathValue("id"), req.BudgetFrac)
+	respond.Reply(w, http.StatusOK, map[string]float64{"budget_frac": req.BudgetFrac}, err)
 }
 
 func (h *handler) result(w http.ResponseWriter, r *http.Request) {
 	res, err := h.m.Result(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	respond.Reply(w, http.StatusOK, res, err)
 }
 
 func (h *handler) recording(w http.ResponseWriter, r *http.Request) {
@@ -289,8 +173,7 @@ func (h *handler) recording(w http.ResponseWriter, r *http.Request) {
 		// Mid-stream write failures (client gone, encode error after the
 		// first byte) can only be ended, not re-statused — appending an
 		// error object onto a partial 200 body would corrupt the JSON.
-		writeErr(w, err)
-		return
+		respond.Error(w, err)
 	}
 }
 
@@ -310,48 +193,37 @@ func (d *headerDeferringWriter) Write(p []byte) (int, error) {
 }
 
 func (h *handler) del(w http.ResponseWriter, r *http.Request) {
-	if err := h.m.Close(r.PathValue("id")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	respond.Reply(w, http.StatusNoContent, nil, h.m.Close(r.PathValue("id")))
 }
 
 // --- cluster groups ---------------------------------------------------
 
 func (h *handler) clusterCreate(w http.ResponseWriter, r *http.Request) {
 	var req ClusterRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
+	if !respond.Decode(w, r, &req) {
 		return
 	}
 	st, err := h.m.CreateCluster(req)
-	if err != nil {
-		writeErr(w, err)
-		return
+	if err == nil {
+		w.Header().Set("Location", "/clusters/"+st.ID)
 	}
-	w.Header().Set("Location", "/clusters/"+st.ID)
-	writeJSON(w, http.StatusCreated, st)
+	respond.Reply(w, http.StatusCreated, st, err)
 }
 
 func (h *handler) clusterList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.m.ListClusters())
+	httpjson.WriteJSON(w, http.StatusOK, h.m.ListClusters())
 }
 
 func (h *handler) clusterStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := h.m.ClusterStatus(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	respond.Reply(w, http.StatusOK, st, err)
 }
 
 // clusterStream follows the group's per-epoch member-grant records as
 // NDJSON, the cluster-level twin of the session stream.
 func (h *handler) clusterStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	streamNDJSON(w, r, h.m.streamHeartbeat(), h.m.met,
+	h.streamNDJSON(w, r,
 		func() error { _, err := h.m.ClusterStatus(id); return err },
 		func(ctx context.Context, cursor int) (any, error) { return h.m.ClusterNext(ctx, id, cursor) })
 }
@@ -363,52 +235,31 @@ type clusterBudgetRequest struct {
 
 func (h *handler) clusterBudget(w http.ResponseWriter, r *http.Request) {
 	var req clusterBudgetRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
+	if !respond.Decode(w, r, &req) {
 		return
 	}
-	if err := h.m.SetClusterBudget(r.PathValue("id"), req.BudgetW); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]float64{"budget_w": req.BudgetW})
+	err := h.m.SetClusterBudget(r.PathValue("id"), req.BudgetW)
+	respond.Reply(w, http.StatusOK, map[string]float64{"budget_w": req.BudgetW}, err)
 }
 
 func (h *handler) clusterAttach(w http.ResponseWriter, r *http.Request) {
 	var req ClusterMemberRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
+	if !respond.Decode(w, r, &req) {
 		return
 	}
 	st, err := h.m.AttachMember(r.PathValue("id"), req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	respond.Reply(w, http.StatusOK, st, err)
 }
 
 func (h *handler) clusterDetach(w http.ResponseWriter, r *http.Request) {
-	if err := h.m.DetachMember(r.PathValue("id"), r.PathValue("mid")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	respond.Reply(w, http.StatusNoContent, nil, h.m.DetachMember(r.PathValue("id"), r.PathValue("mid")))
 }
 
 func (h *handler) clusterResult(w http.ResponseWriter, r *http.Request) {
 	res, err := h.m.ClusterResult(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	respond.Reply(w, http.StatusOK, res, err)
 }
 
 func (h *handler) clusterDel(w http.ResponseWriter, r *http.Request) {
-	if err := h.m.CloseCluster(r.PathValue("id")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	respond.Reply(w, http.StatusNoContent, nil, h.m.CloseCluster(r.PathValue("id")))
 }

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/replay"
 	"repro/internal/runner"
 )
@@ -454,28 +455,9 @@ func (m *Manager) Next(ctx context.Context, id string, cursor int) (runner.Epoch
 	if err != nil {
 		return runner.EpochRecord{}, err
 	}
-	// Wake the cond wait when the watcher gives up.
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return runner.EpochRecord{}, err
-		}
-		if cursor < len(s.recs) {
-			return s.recs[cursor], nil
-		}
-		if s.state.Terminal() || s.closed {
-			return runner.EpochRecord{}, io.EOF
-		}
-		s.cond.Wait()
-	}
+	return httpjson.Follow(ctx, s.cond,
+		func() []runner.EpochRecord { return s.recs },
+		func() bool { return s.state.Terminal() || s.closed }, cursor)
 }
 
 // Result returns the finalized run aggregate of a terminal session

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/httpjson"
 	"repro/internal/metrics"
-	"repro/internal/stats"
 )
 
 // Metrics is the serving layer's instrumentation: every handle is
@@ -39,9 +39,7 @@ type Metrics struct {
 	drainClean *metrics.Counter
 	drainCut   *metrics.Counter
 
-	streamHeartbeats *metrics.Counter
-	streamCompleted  *metrics.Counter
-	streamClientGone *metrics.Counter
+	streams httpjson.StreamCounters
 
 	// Per-cluster families, labeled by group id; series are dropped when
 	// the group is deleted so a long-lived daemon's scrape stays bounded
@@ -58,16 +56,6 @@ type Metrics struct {
 	clPredErr  *metrics.GaugeVec
 	clPredErrH *metrics.HistogramVec
 }
-
-// arbitrationBuckets spans 100ns to ~0.4s: the water-fill runs in
-// microseconds for realistic member counts, and the histogram should
-// resolve that, not lump it under the first latency bucket.
-var arbitrationBuckets = stats.ExpBuckets(1e-7, 4, 11)
-
-// predictionErrorBuckets spans 0.01 W to ~2.6 kW of mean absolute
-// prediction error — sub-watt buckets resolve a well-fitted forecast,
-// the top buckets catch a model tracking a phase change.
-var predictionErrorBuckets = stats.ExpBuckets(0.01, 4, 10)
 
 // NewMetrics registers the serving-layer families on reg and returns
 // the resolved handles. A nil registry returns nil — instrumentation
@@ -107,10 +95,12 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		memberDetach:    mem.With("detach"),
 		drainClean:      drains.With("clean"),
 		drainCut:        drains.With("cut"),
-		streamHeartbeats: reg.Counter("fastcap_serve_stream_heartbeats_total",
-			"Keepalive heartbeat lines emitted on idle NDJSON streams."),
-		streamCompleted:  ends.With("completed"),
-		streamClientGone: ends.With("client_gone"),
+		streams: httpjson.StreamCounters{
+			Heartbeats: reg.Counter("fastcap_serve_stream_heartbeats_total",
+				"Keepalive heartbeat lines emitted on idle NDJSON streams."),
+			Completed:  ends.With("completed"),
+			ClientGone: ends.With("client_gone"),
+		},
 		clBudget: reg.GaugeVec("fastcap_cluster_budget_w",
 			"Global watt budget in force at the cluster's last epoch.", "cluster"),
 		clGrant: reg.GaugeVec("fastcap_cluster_grant_w",
@@ -122,7 +112,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		clMembers: reg.GaugeVec("fastcap_cluster_members",
 			"Live members stepped in the cluster's last epoch.", "cluster"),
 		clArb: reg.HistogramVec("fastcap_cluster_arbitration_seconds",
-			"Latency of one arbitration round (ComputeGrants).", arbitrationBuckets, "cluster"),
+			"Latency of one arbitration round (ComputeGrants).", cluster.ArbitrationBuckets, "cluster"),
 		clFill: reg.CounterVec("fastcap_cluster_waterfill_passes_total",
 			"Water-fill redistribution passes accumulated across epochs.", "cluster"),
 		clSLOViol: reg.CounterVec("fastcap_cluster_slo_violations_total",
@@ -132,7 +122,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		clPredErr: reg.GaugeVec("fastcap_cluster_prediction_error_w",
 			"Forecasting arbiter's mean absolute one-epoch-ahead prediction error at the cluster's last epoch, in watts.", "cluster"),
 		clPredErrH: reg.HistogramVec("fastcap_cluster_prediction_abs_error_w",
-			"Distribution of per-epoch mean absolute prediction error, in watts.", predictionErrorBuckets, "cluster"),
+			"Distribution of per-epoch mean absolute prediction error, in watts.", cluster.PredictionErrorBuckets, "cluster"),
 	}
 }
 
