@@ -553,3 +553,65 @@ func BenchmarkRemoteEpoch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*epochs), "ns/epoch")
 }
+
+// TestWireCodecAllocs pins what the wire codec may allocate per frame:
+// appending a grant or a report into a buffer with room allocates
+// nothing, decoding one allocates its id strings and nothing else, and
+// decoding a result allocates each slice once at its final size.
+func TestWireCodecAllocs(t *testing.T) {
+	const records, cores = 200, 4
+	res := &runner.Result{
+		Mix: "MIX3", PolicyName: "fastcap", Cores: cores, PeakW: 80, BudgetW: 52,
+		Epochs:     make([]runner.EpochRecord, records),
+		TotalInstr: make([]float64, cores), NsPerInstr: make([]float64, cores), TotalTimeNs: 1e8,
+	}
+	for i := range res.Epochs {
+		res.Epochs[i] = runner.EpochRecord{
+			Epoch: i, AvgPowerW: 51.25 + float64(i)/7, BudgetW: 52, PeakW: 80,
+			CoreSteps: make([]int, cores), Instr: make([]float64, cores), CoreW: make([]float64, cores),
+		}
+	}
+	frames := []struct {
+		name      string
+		msg       dist.Msg
+		maxDecode float64
+	}{
+		{"grant", dist.Msg{Type: dist.TypeGrant, Member: "a0.m2", Epoch: 1234, GrantW: 23.456789012345}, 1},
+		{"report", dist.Msg{Type: dist.TypeReport, Member: "a0.m2", Agent: "a0", Epoch: 1234, MemberEpoch: 1234,
+			PowerW: 21.98765432101, ThrottleFrac: 0.75, Instr: 1.23456789e6}, 2},
+		// Three slices a record, the record slice, the two aggregates,
+		// the Result itself and four strings.
+		{"result", dist.Msg{Type: dist.TypeResult, Member: "a0.m2", Agent: "a0", Result: res}, 3*records + 8},
+	}
+	for _, f := range frames {
+		frame, err := dist.EncodeMsg(f.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, len(frame))
+		if avg := testing.AllocsPerRun(100, func() {
+			if _, err := dist.AppendMsg(buf, f.msg); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: AppendMsg into a sized buffer allocates %.1f, want 0", f.name, avg)
+		}
+		var got dist.Msg
+		if avg := testing.AllocsPerRun(100, func() {
+			if got, err = dist.DecodeMsg(frame); err != nil {
+				t.Fatal(err)
+			}
+		}); avg > f.maxDecode {
+			t.Errorf("%s: DecodeMsg allocates %.1f, want at most %.0f", f.name, avg, f.maxDecode)
+		}
+		if r := got.Result; r != nil {
+			if cap(r.Epochs) != records {
+				t.Errorf("decoded %d records into capacity %d, want no spare", records, cap(r.Epochs))
+			}
+			if last := r.Epochs[records-1]; cap(last.CoreSteps) != cores || cap(last.Instr) != cores || cap(last.CoreW) != cores {
+				t.Errorf("decoded per-record slices have capacity %d/%d/%d, want %d each",
+					cap(last.CoreSteps), cap(last.Instr), cap(last.CoreW), cores)
+			}
+		}
+	}
+}

@@ -56,7 +56,7 @@ func NewMetrics(reg *metrics.Registry) Metrics {
 			Epochs: reg.Counter("fastcap_dist_epochs_total",
 				"Distributed cluster epochs completed by hosted coordinators."),
 			ArbitrationSeconds: reg.Histogram("fastcap_dist_arbitration_seconds",
-				"Latency of one arbitration round (ComputeGrants).", cluster.ArbitrationBuckets),
+				"Latency of one arbitration round (EpochCore.Arbitrate).", cluster.ArbitrationBuckets),
 			FillPasses: reg.Counter("fastcap_dist_waterfill_passes_total",
 				"Water-fill redistribution passes accumulated across epochs."),
 			SLOViolations: reg.Counter("fastcap_dist_slo_violations_total",

@@ -87,7 +87,7 @@ type simAgent struct {
 // synchronously inside the pump, and all randomness comes from one
 // seeded source consumed in pump order — so a (seed, fault plan, fixture)
 // triple always produces the same run, byte for byte. Every message is
-// round-tripped through EncodeMsg/DecodeMsg, so what the protocol logic
+// round-tripped through AppendMsg/DecodeMsg, so what the protocol logic
 // sees is exactly what the JSON wire carries.
 //
 // SimNet is not safe for concurrent use; it models a cluster, it does
@@ -102,6 +102,8 @@ type SimNet struct {
 	agents   map[string]*simAgent
 	restarts []Restart
 	err      error
+	// wire is the one buffer every frame is encoded into.
+	wire []byte
 }
 
 // NewSimNet builds a simulated network with the given seed, latency and
@@ -150,10 +152,12 @@ func (s *SimNet) schedule(at int64, fn func()) {
 
 // codec round-trips m through the real wire encoding; a message the
 // JSON layer cannot carry faithfully is a protocol bug and poisons the
-// net with a sticky error that Recv surfaces.
+// net with a sticky error that Recv surfaces. The decoded message
+// copies its strings out of the frame, so the buffer is reused.
 func (s *SimNet) codec(m Msg) (Msg, bool) {
-	b, err := EncodeMsg(m)
+	b, err := AppendMsg(s.wire[:0], m)
 	if err == nil {
+		s.wire = b
 		m, err = DecodeMsg(b)
 	}
 	if err != nil {
@@ -165,23 +169,24 @@ func (s *SimNet) codec(m Msg) (Msg, bool) {
 	return m, true
 }
 
-// deliveries rolls the fault dice for one message: nil means dropped,
-// otherwise each entry is a delivery latency (two entries for a
-// duplicate). Draw order is fixed — delay, drop, duplicate — so the
+// deliveries rolls the fault dice for one message: n is how many
+// copies arrive — 0 dropped, 2 duplicated — and lat[:n] their delivery
+// latencies. Draw order is fixed — delay, drop, duplicate — so the
 // seeded schedule is stable.
-func (s *SimNet) deliveries() []int64 {
+func (s *SimNet) deliveries() (n int, lat [2]int64) {
 	f := s.cfg.Faults
-	lat := s.cfg.LatencyNs
+	lat[0] = s.cfg.LatencyNs
 	if f.DelayProb > 0 && s.rng.Float64() < f.DelayProb {
-		lat += f.DelayNs
+		lat[0] += f.DelayNs
 	}
 	if f.DropProb > 0 && s.rng.Float64() < f.DropProb {
-		return nil
+		return 0, lat
 	}
 	if f.DupProb > 0 && s.rng.Float64() < f.DupProb {
-		return []int64{lat, lat + s.cfg.LatencyNs}
+		lat[1] = lat[0] + s.cfg.LatencyNs
+		return 2, lat
 	}
-	return []int64{lat}
+	return 1, lat
 }
 
 // restartPlan consumes the first unfired restart matching this grant
@@ -215,7 +220,8 @@ func (s *SimNet) Send(agent string, m Msg) {
 		return // unknown endpoint: the void swallows it
 	}
 	gen := a.gen
-	for _, d := range s.deliveries() {
+	n, lat := s.deliveries()
+	for _, d := range lat[:n] {
 		s.schedule(s.now+d, func() {
 			if a.gen != gen || a.handle == nil {
 				return // incarnation died with this message in flight
@@ -252,7 +258,8 @@ func (s *SimNet) Sender(name string) func(Msg) error {
 			return fmt.Errorf("dist: simnet agent %q not registered", name)
 		}
 		gen := a.gen
-		for _, d := range s.deliveries() {
+		n, lat := s.deliveries()
+		for _, d := range lat[:n] {
 			s.schedule(s.now+d, func() {
 				if a.gen != gen {
 					return
@@ -307,8 +314,14 @@ func (s *SimNet) Recv(deadline int64) (Envelope, bool, error) {
 			return Envelope{}, false, s.err
 		}
 		if len(s.inbox) > 0 {
+			// Slide the queue down rather than march inbox[1:] through
+			// ever-new backing arrays: the pump below fires events only
+			// while the inbox is empty, so the queue stays a frame or
+			// two deep and the copy moves next to nothing.
 			env := s.inbox[0]
-			s.inbox = s.inbox[1:]
+			n := copy(s.inbox, s.inbox[1:])
+			s.inbox[n] = Envelope{} // let go of the Result it may hold
+			s.inbox = s.inbox[:n]
 			return env, false, nil
 		}
 		if s.events.Len() == 0 || s.events.peek().at > deadline {

@@ -2,9 +2,9 @@
 // coordinator service owns the global watt budget and the epoch
 // barrier, remote agents own the member sessions, and an NDJSON wire
 // protocol carries announces, grant pushes, draw/slack/throttle reports
-// and heartbeats between them. The arbitration arithmetic is
-// cluster.ComputeGrants — the exact core the in-process Coordinator
-// runs — so when no faults fire the distributed grant stream is
+// and heartbeats between them. Every epoch runs through
+// cluster.EpochCore — the exact core the in-process Coordinator
+// drives — so when no faults fire the distributed grant stream is
 // byte-identical to the local one.
 //
 // The barrier is failure-aware: members that miss the straggler
@@ -23,11 +23,8 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/runner"
@@ -139,29 +136,36 @@ type Msg struct {
 
 // EncodeMsg serializes m to its one-line wire form (no trailing
 // newline).
-func EncodeMsg(m Msg) ([]byte, error) { return json.Marshal(m) }
+func EncodeMsg(m Msg) ([]byte, error) {
+	// Room for a control frame (a report is ~150 bytes) in one allocation.
+	return AppendMsg(make([]byte, 0, 256), m)
+}
 
 // DecodeMsg strictly decodes and validates one wire message: oversized,
 // truncated, unknown-field, trailing-garbage, unknown-type and
 // out-of-bounds input all fail with ErrBadMessage. It never panics and
 // allocates at most in proportion to the (bounded) input.
+//
+// Grant, report and result frames in the shape AppendMsg writes are
+// read by a single-pass decoder (decodeCanonical). That fast path may
+// only decline, never reject: whatever it does not recognise goes to
+// encoding/json with unknown fields disallowed (decodeStrict), which
+// alone decides accept or reject, so no input changes verdict or
+// decoded value by which path read it. The size and Validate checks
+// after either path are the same code.
 func DecodeMsg(data []byte) (Msg, error) {
 	if len(data) > MaxResultBytes {
 		return Msg{}, fmt.Errorf("%w: %d bytes above the %d-byte limit", ErrBadMessage, len(data), MaxResultBytes)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var m Msg
-	if err := dec.Decode(&m); err != nil {
-		return Msg{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
+	m, ok := decodeCanonical(data)
+	if !ok {
+		var err error
+		if m, err = decodeStrict(data); err != nil {
+			return Msg{}, err
+		}
 	}
 	if m.Type != TypeResult && len(data) > MaxMsgBytes {
 		return Msg{}, fmt.Errorf("%w: %d-byte %s message above the %d-byte limit", ErrBadMessage, len(data), m.Type, MaxMsgBytes)
-	}
-	// One message per frame: trailing non-space bytes are framing bugs
-	// (or smuggling attempts), not forward compatibility.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return Msg{}, fmt.Errorf("%w: trailing data after message", ErrBadMessage)
 	}
 	if err := m.Validate(); err != nil {
 		return Msg{}, err
@@ -169,7 +173,7 @@ func DecodeMsg(data []byte) (Msg, error) {
 	return m, nil
 }
 
-// finite reports a usable non-negative float.
+// finiteNonNeg reports a usable non-negative float.
 func finiteNonNeg(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
