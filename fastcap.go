@@ -116,7 +116,8 @@ func DefaultMemLadder() *Ladder { return dvfs.DefaultMemLadder() }
 // Heterogeneous machines: named core classes with per-class DVFS
 // ladders, power curves, ExecCPI scaling, and optional explicit app
 // placement. Set SystemConfig.Machine to build one; class counts must
-// sum to the core count, and the homogeneous path (nil Machine) is
+// sum to the core count. A nil Machine is the homogeneous machine — one
+// implicit class through the same per-core code, with results
 // bit-identical to earlier releases.
 type (
 	// MachineSpec describes an asymmetric machine as named core classes.

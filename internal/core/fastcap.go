@@ -52,22 +52,11 @@ type Inputs struct {
 	SbCandidates []float64
 	// Budget is the full-system cap in watts: B · P̄.
 	Budget float64
-	// MaxZRatio bounds think-time dilation: z_i ≤ z̄_i·MaxZRatio, i.e.
-	// f_max/f_min of the core ladder. Must be ≥ 1.
-	MaxZRatio float64
-	// MaxZRatios, when non-nil, gives each core its own dilation bound
-	// (heterogeneous machines, where every core class has its own ladder
-	// and hence its own f_max/f_min). len must equal len(ZBar) and every
-	// entry must be ≥ 1; MaxZRatio is then ignored.
+	// MaxZRatios[i] bounds core i's think-time dilation:
+	// z_i ≤ z̄_i·MaxZRatios[i], i.e. f_max/f_min of that core's own
+	// ladder (every core class of a heterogeneous machine has its own).
+	// len must equal len(ZBar) and every entry must be ≥ 1.
 	MaxZRatios []float64
-}
-
-// maxZ returns core i's think-time dilation bound.
-func (in *Inputs) maxZ(i int) float64 {
-	if in.MaxZRatios != nil {
-		return in.MaxZRatios[i]
-	}
-	return in.MaxZRatio
 }
 
 // finite reports whether v is neither NaN nor ±Inf.
@@ -122,17 +111,13 @@ func (in *Inputs) Validate() error {
 			return fmt.Errorf("fastcap: candidates not strictly ascending at %d", i)
 		}
 	}
-	if in.MaxZRatios != nil {
-		if len(in.MaxZRatios) != n {
-			return fmt.Errorf("fastcap: len(MaxZRatios)=%d, want %d", len(in.MaxZRatios), n)
+	if len(in.MaxZRatios) != n {
+		return fmt.Errorf("fastcap: len(MaxZRatios)=%d, want %d", len(in.MaxZRatios), n)
+	}
+	for i, r := range in.MaxZRatios {
+		if math.IsNaN(r) || r < 1 {
+			return fmt.Errorf("fastcap: MaxZRatios[%d] = %g < 1", i, r)
 		}
-		for i, r := range in.MaxZRatios {
-			if math.IsNaN(r) || r < 1 {
-				return fmt.Errorf("fastcap: core %d MaxZRatio %g < 1", i, r)
-			}
-		}
-	} else if math.IsNaN(in.MaxZRatio) || in.MaxZRatio < 1 {
-		return fmt.Errorf("fastcap: MaxZRatio %g < 1", in.MaxZRatio)
 	}
 	if in.Budget <= 0 || !finite(in.Budget) {
 		return fmt.Errorf("fastcap: non-positive or non-finite budget %g", in.Budget)
@@ -218,9 +203,10 @@ type Solver struct {
 
 	sols   []dSolution // per-candidate memo
 	probed []bool
-	num    []float64    // quantization guard: per-core T_min numerators
-	rCur   []float64    // quantization guard: R_i at the solved sb
-	heap   []guardEntry // quantization guard max-heap
+	num    []float64      // quantization guard: per-core T_min numerators
+	rCur   []float64      // quantization guard: R_i at the solved sb
+	heap   []guardEntry   // quantization guard max-heap
+	lads   []*dvfs.Ladder // Quantize: the shared ladder, once per core
 
 	// Warm-start state: the winning candidate index of the previous
 	// Solve/SolveExhaustive and the problem shape (N cores, M candidates)
@@ -253,7 +239,7 @@ func (s *Solver) prepare(in *Inputs) {
 	s.terms, s.all = s.terms[:n], s.all[:n]
 	for i := range s.terms {
 		zBar, pm := in.ZBar[i], in.Power.Cores[i]
-		zMax := zBar * in.maxZ(i)
+		zMax := zBar * in.MaxZRatios[i]
 		s.terms[i] = coreTerm{
 			a:    zBar + in.C[i] + in.Response(i, in.SbBar),
 			zBar: zBar, zMax: zMax,
@@ -412,7 +398,7 @@ func (s *Solver) finish(in *Inputs, best dSolution, bestIdx, evals int) Result {
 	sb := in.SbCandidates[bestIdx]
 	z := make([]float64, n)
 	for i := 0; i < n; i++ {
-		z[i] = zOfD(in.ZBar[i], in.C[i], in.Response(i, in.SbBar), in.Response(i, sb), best.d, in.maxZ(i))
+		z[i] = zOfD(in.ZBar[i], in.C[i], in.Response(i, in.SbBar), in.Response(i, sb), best.d, in.MaxZRatios[i])
 	}
 	return Result{
 		D:              best.d,
@@ -627,44 +613,40 @@ func (s *Solver) guardPop() guardEntry {
 	return top
 }
 
-// Quantize maps a continuous Result onto the DVFS ladders using the
-// solver's scratch. The budget guard runs in O(N·log N + S·log N) for S
-// shed steps: power is updated incrementally per step (instead of a
-// full O(N) model re-evaluation) and the next core to shed comes from a
-// max-heap keyed by performance ratio (instead of a linear argmax),
-// with lazy deletion of stale entries.
+// Quantize is QuantizePerCore for a machine whose cores all share the
+// ladder coreL: N equal ladders through the one per-core computation.
 func (s *Solver) Quantize(in *Inputs, res Result, coreL, memL *dvfs.Ladder, guard bool) Assignment {
-	return s.quantize(in, res, nil, coreL, memL, guard)
-}
-
-// QuantizePerCore is Quantize for heterogeneous machines: coreLs[i] is
-// core i's own DVFS ladder, so every quantized step lands on the ladder
-// of the core it is applied to. The guard sheds by the same fairness
-// order (the core closest to its best-case performance first), with
-// each candidate evaluated against its own ladder.
-func (s *Solver) QuantizePerCore(in *Inputs, res Result, coreLs []*dvfs.Ladder, memL *dvfs.Ladder, guard bool) Assignment {
-	return s.quantize(in, res, coreLs, nil, memL, guard)
-}
-
-// quantize is the shared implementation: perCore supplies per-core
-// ladders when non-nil, otherwise every core uses shared.
-func (s *Solver) quantize(in *Inputs, res Result, perCore []*dvfs.Ladder, shared *dvfs.Ladder, memL *dvfs.Ladder, guard bool) Assignment {
-	lad := func(i int) *dvfs.Ladder {
-		if perCore != nil {
-			return perCore[i]
-		}
-		return shared
+	n := len(res.Z)
+	if cap(s.lads) < n {
+		s.lads = make([]*dvfs.Ladder, n)
 	}
+	s.lads = s.lads[:n]
+	for i := range s.lads {
+		s.lads[i] = coreL
+	}
+	return s.QuantizePerCore(in, res, s.lads, memL, guard)
+}
+
+// QuantizePerCore maps a continuous Result onto the DVFS ladders using
+// the solver's scratch; coreLs[i] is core i's own ladder, so every
+// quantized step lands on the ladder of the core it is applied to. The
+// budget guard sheds the core closest to its best-case performance
+// first, each candidate evaluated against its own ladder, and runs in
+// O(N·log N + S·log N) for S shed steps: power is updated incrementally
+// per step (instead of a full O(N) model re-evaluation) and the next
+// core to shed comes from a max-heap keyed by performance ratio
+// (instead of a linear argmax), with lazy deletion of stale entries.
+func (s *Solver) QuantizePerCore(in *Inputs, res Result, coreLs []*dvfs.Ladder, memL *dvfs.Ladder, guard bool) Assignment {
 	n := len(res.Z)
 	steps := make([]int, n)
 	for i := 0; i < n; i++ {
-		steps[i] = lad(i).NearestNorm(in.ZBar[i] / res.Z[i])
+		steps[i] = coreLs[i].NearestNorm(in.ZBar[i] / res.Z[i])
 	}
 	memStep := memL.NearestNorm(in.SbBar / res.Sb)
 
 	pw := in.Power.Ps + in.Power.Mem.At(memL.NormFreq(memStep))
 	for i := 0; i < n; i++ {
-		pw += in.Power.Cores[i].At(lad(i).NormFreq(steps[i]))
+		pw += in.Power.Cores[i].At(coreLs[i].NormFreq(steps[i]))
 	}
 	if !guard || pw <= in.Budget {
 		return Assignment{CoreSteps: steps, MemStep: memStep, PredictedPower: pw}
@@ -680,7 +662,7 @@ func (s *Solver) quantize(in *Inputs, res Result, perCore []*dvfs.Ladder, shared
 		s.rCur[i] = in.Response(i, sbCur)
 	}
 	ratioAt := func(i, step int) float64 {
-		z := in.ZBar[i] * lad(i).Max() / lad(i).Freq(step)
+		z := in.ZBar[i] * coreLs[i].Max() / coreLs[i].Freq(step)
 		return s.num[i] / (z + in.C[i] + s.rCur[i])
 	}
 	s.heap = s.heap[:0]
@@ -710,9 +692,9 @@ func (s *Solver) quantize(in *Inputs, res Result, perCore []*dvfs.Ladder, shared
 			}
 			break // everything at the floor; nothing more to shed
 		}
-		pw -= in.Power.Cores[shed].At(lad(shed).NormFreq(steps[shed]))
+		pw -= in.Power.Cores[shed].At(coreLs[shed].NormFreq(steps[shed]))
 		steps[shed]--
-		pw += in.Power.Cores[shed].At(lad(shed).NormFreq(steps[shed]))
+		pw += in.Power.Cores[shed].At(coreLs[shed].NormFreq(steps[shed]))
 		if steps[shed] > 0 {
 			s.guardPush(guardEntry{ratio: ratioAt(shed, steps[shed]), core: int32(shed), step: int32(steps[shed])})
 		}

@@ -44,9 +44,19 @@ func testInputs(n int, budgetFrac float64) *Inputs {
 		SbBar:        sbBar,
 		SbCandidates: SbCandidatesFromLadder(sbBar, memL),
 		Budget:       budgetFrac * sys.Peak(),
-		MaxZRatio:    dvfs.DefaultCoreLadder().StepRange(),
+		MaxZRatios:   equalRatios(n, dvfs.DefaultCoreLadder().StepRange()),
 	}
 	return in
+}
+
+// equalRatios is the dilation bound of a machine whose n cores share
+// one ladder.
+func equalRatios(n int, r float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r
+	}
+	return out
 }
 
 func TestValidate(t *testing.T) {
@@ -67,7 +77,9 @@ func TestValidate(t *testing.T) {
 		{"no candidates", func(i *Inputs) { i.SbCandidates = nil }},
 		{"candidate below sbbar", func(i *Inputs) { i.SbCandidates[0] = i.SbBar / 2 }},
 		{"non-ascending candidates", func(i *Inputs) { i.SbCandidates[1] = i.SbCandidates[0] }},
-		{"bad ratio", func(i *Inputs) { i.MaxZRatio = 0.5 }},
+		{"bad ratio", func(i *Inputs) { i.MaxZRatios[0] = 0.5 }},
+		{"ratios length", func(i *Inputs) { i.MaxZRatios = i.MaxZRatios[:3] }},
+		{"no ratios", func(i *Inputs) { i.MaxZRatios = nil }},
 		{"bad budget", func(i *Inputs) { i.Budget = 0 }},
 		{"nil response", func(i *Inputs) { i.Response = nil }},
 	}
@@ -98,7 +110,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"Budget", func(i *Inputs, v float64) { i.Budget = v }, []float64{nan, inf, -inf}},
 		{"SbBar", func(i *Inputs, v float64) { i.SbBar = v }, []float64{nan, inf, -inf}},
 		{"SbCandidates", func(i *Inputs, v float64) { i.SbCandidates[len(i.SbCandidates)-1] = v }, []float64{nan, inf}},
-		{"MaxZRatio", func(i *Inputs, v float64) { i.MaxZRatio = v }, []float64{nan}},
+		{"MaxZRatios", func(i *Inputs, v float64) { i.MaxZRatios[1] = v }, []float64{nan}},
 		{"core model Scale", func(i *Inputs, v float64) { i.Power.Cores[1].Scale = v }, []float64{nan, inf, -1}},
 		{"core model Exp", func(i *Inputs, v float64) { i.Power.Cores[1].Exp = v }, []float64{nan, inf, 0}},
 		{"core model Static", func(i *Inputs, v float64) { i.Power.Cores[1].Static = v }, []float64{nan, inf, -1}},
@@ -173,7 +185,7 @@ func TestTheorem1PerCoreEquality(t *testing.T) {
 		tGot := z + in.C[i] + r
 		d := tMin / tGot
 		clampedLow := math.Abs(z-in.ZBar[i]) < 1e-9
-		clampedHigh := math.Abs(z-in.ZBar[i]*in.MaxZRatio) < 1e-9
+		clampedHigh := math.Abs(z-in.ZBar[i]*in.MaxZRatios[i]) < 1e-9
 		if !clampedLow && !clampedHigh && math.Abs(d-res.D)/res.D > 1e-6 {
 			t.Errorf("core %d ratio %g differs from D %g", i, d, res.D)
 		}
@@ -220,7 +232,7 @@ func TestInfeasibleBudget(t *testing.T) {
 	}
 	// Best effort: every core pinned to minimum frequency.
 	for i, z := range res.Z {
-		if math.Abs(z-in.ZBar[i]*in.MaxZRatio) > 1e-6 {
+		if math.Abs(z-in.ZBar[i]*in.MaxZRatios[i]) > 1e-6 {
 			t.Errorf("core %d not at minimum frequency under infeasible budget", i)
 		}
 	}
@@ -319,7 +331,7 @@ func TestFairnessAcrossHeterogeneousCores(t *testing.T) {
 	}
 	var ratios []float64
 	for i, z := range res.Z {
-		if math.Abs(z-in.ZBar[i]) < 1e-9 || math.Abs(z-in.ZBar[i]*in.MaxZRatio) < 1e-9 {
+		if math.Abs(z-in.ZBar[i]) < 1e-9 || math.Abs(z-in.ZBar[i]*in.MaxZRatios[i]) < 1e-9 {
 			continue // clamped cores may exceed D
 		}
 		rMin := in.Response(i, in.SbBar)
@@ -441,7 +453,7 @@ func TestSolveProperties(t *testing.T) {
 			SbBar:        sbBar,
 			SbCandidates: SbCandidatesFromLadder(sbBar, memL),
 			Budget:       (0.4 + 0.6*rng.Float64()) * sys.Peak(),
-			MaxZRatio:    coreLadder.StepRange(),
+			MaxZRatios:   equalRatios(len(zbar), coreLadder.StepRange()),
 		}
 		bin, err := in.Solve()
 		if err != nil {
@@ -460,7 +472,7 @@ func TestSolveProperties(t *testing.T) {
 		}
 		// Fairness constraint for every core.
 		for i, z := range bin.Z {
-			if z < in.ZBar[i]-1e-9 || z > in.ZBar[i]*in.MaxZRatio+1e-6 {
+			if z < in.ZBar[i]-1e-9 || z > in.ZBar[i]*in.MaxZRatios[i]+1e-6 {
 				return false
 			}
 			rMin := in.Response(i, in.SbBar)

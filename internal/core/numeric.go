@@ -33,7 +33,7 @@ func DefaultNumericOptions() NumericOptions {
 //
 //	z_i + c_i + R_i(s_b) − u·T̄_i ≤ 0      (fairness, T̄_i = best turn-around)
 //	Σ P_i(z̄_i/z_i)^α_i + P_m(s̄_b/s_b)^β + P_s − B ≤ 0
-//	z̄_i ≤ z_i ≤ z̄_i·MaxZRatio,  s̄_b ≤ s_b ≤ s_b,max,  u ≥ 1
+//	z̄_i ≤ z_i ≤ z̄_i·MaxZRatios[i],  s̄_b ≤ s_b ≤ s_b,max,  u ≥ 1
 //
 // The returned Result mirrors Solve's: D = 1/u and the final s_b is
 // continuous (not snapped to a candidate); SbIndex is the nearest
@@ -69,7 +69,7 @@ func (in *Inputs) SolveNumeric(opt NumericOptions) (Result, error) {
 	// u loose enough that every fairness constraint has slack.
 	z := make([]float64, n)
 	for i := range z {
-		z[i] = in.ZBar[i] * (1 + 0.98*(in.MaxZRatio-1))
+		z[i] = in.ZBar[i] * (1 + 0.98*(in.MaxZRatios[i]-1))
 	}
 	sb := sbMin + 0.98*(sbMax-sbMin)
 	u := 0.0
@@ -91,8 +91,10 @@ func (in *Inputs) SolveNumeric(opt NumericOptions) (Result, error) {
 	// Feasibility pre-check: minimum power exceeding the budget means the
 	// program is infeasible; report like Solve does.
 	zFloor := make([]float64, n)
+	maxRatio := 1.0 // the loosest dilation bound, which bounds u = 1/D below
 	for i := range zFloor {
-		zFloor[i] = in.ZBar[i] * in.MaxZRatio
+		zFloor[i] = in.ZBar[i] * in.MaxZRatios[i]
+		maxRatio = math.Max(maxRatio, in.MaxZRatios[i])
 	}
 	if power(zFloor, sbMax) > in.Budget {
 		res, err := in.Solve()
@@ -147,7 +149,7 @@ func (in *Inputs) SolveNumeric(opt NumericOptions) (Result, error) {
 			if !addLog(z[i]-in.ZBar[i], []int{i}, []float64{1}) {
 				return math.Inf(1)
 			}
-			if !addLog(in.ZBar[i]*in.MaxZRatio-z[i], []int{i}, []float64{-1}) {
+			if !addLog(zFloor[i]-z[i], []int{i}, []float64{-1}) {
 				return math.Inf(1)
 			}
 		}
@@ -157,7 +159,7 @@ func (in *Inputs) SolveNumeric(opt NumericOptions) (Result, error) {
 		if !addLog(sbMax-sb, []int{n}, []float64{-1}) {
 			return math.Inf(1)
 		}
-		if !addLog(u-1/in.MaxZRatio/4, []int{n + 1}, []float64{1}) {
+		if !addLog(u-1/maxRatio/4, []int{n + 1}, []float64{1}) {
 			return math.Inf(1)
 		}
 		return val

@@ -42,8 +42,8 @@ func TestNumericRespectsBudget(t *testing.T) {
 	}
 	// Think times within bounds.
 	for i, z := range num.Z {
-		if z < in.ZBar[i]-1e-9 || z > in.ZBar[i]*in.MaxZRatio+1e-9 {
-			t.Errorf("core %d z=%g outside [%g, %g]", i, z, in.ZBar[i], in.ZBar[i]*in.MaxZRatio)
+		if z < in.ZBar[i]-1e-9 || z > in.ZBar[i]*in.MaxZRatios[i]+1e-9 {
+			t.Errorf("core %d z=%g outside [%g, %g]", i, z, in.ZBar[i], in.ZBar[i]*in.MaxZRatios[i])
 		}
 	}
 	if num.Sb < in.SbBar-1e-9 || num.Sb > in.SbCandidates[len(in.SbCandidates)-1]+1e-9 {

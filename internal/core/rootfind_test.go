@@ -67,7 +67,7 @@ func randomInputs(rng *rand.Rand) *Inputs {
 	}
 	switch rng.Intn(3) {
 	case 0:
-		in.MaxZRatio = 1.2 + 4*rng.Float64()
+		in.MaxZRatios = equalRatios(n, 1.2+4*rng.Float64())
 	case 1:
 		in.MaxZRatios = make([]float64, n)
 		for i := range in.MaxZRatios {
@@ -82,7 +82,7 @@ func randomInputs(rng *rand.Rand) *Inputs {
 	}
 	floors := sys.Ps + sys.Mem.At(sbBar/in.SbCandidates[len(in.SbCandidates)-1])
 	for i, m := range cores {
-		floors += m.At(1 / in.maxZ(i))
+		floors += m.At(1 / in.MaxZRatios[i])
 	}
 	switch rng.Intn(5) {
 	case 0:
@@ -110,7 +110,7 @@ func refPower(in *Inputs, cores []int, sb, d float64) float64 {
 		}
 	}
 	for _, i := range cores {
-		z := zOfD(in.ZBar[i], in.C[i], in.Response(i, in.SbBar), in.Response(i, sb), d, in.maxZ(i))
+		z := zOfD(in.ZBar[i], in.C[i], in.Response(i, in.SbBar), in.Response(i, sb), d, in.MaxZRatios[i])
 		p += in.Power.Cores[i].At(in.ZBar[i] / z)
 	}
 	return p
@@ -127,7 +127,7 @@ func refSolve(in *Inputs, groups []BudgetGroup) (sol dSolution, idx int) {
 			a := in.ZBar[i] + in.C[i] + in.Response(i, in.SbBar)
 			b := in.C[i] + in.Response(i, sb)
 			dHi = math.Min(dHi, a/(in.ZBar[i]+b))
-			dLo = math.Min(dLo, a/(in.ZBar[i]*in.maxZ(i)+b))
+			dLo = math.Min(dLo, a/(in.ZBar[i]*in.MaxZRatios[i]+b))
 		}
 		dLo = math.Max(dLo, dFloor)
 		// largest D on [dLo, dHi] that keeps the listed cores within budget
@@ -224,7 +224,7 @@ func TestSolveGroupedMatchesBisectionOracle(t *testing.T) {
 			perm = perm[size:]
 			var floor, peak float64
 			for _, i := range g.Cores {
-				floor += gi.Power.Cores[i].At(1 / gi.maxZ(i))
+				floor += gi.Power.Cores[i].At(1 / gi.MaxZRatios[i])
 				peak += gi.Power.Cores[i].Peak()
 			}
 			g.Budget = floor*0.9 + (peak*1.1-floor*0.9)*rng.Float64()
@@ -239,35 +239,64 @@ func TestSolveGroupedMatchesBisectionOracle(t *testing.T) {
 	}
 }
 
-// SolveNumeric is the third, fully independent reference: it knows one
-// shared dilation bound only, needs a strictly interior starting point
-// (so the budget is redrawn away from the floors) and treats s_b as
-// continuous, so it can sit slightly above Algorithm 1 and must not sit
-// substantially below it.
+// SolveNumeric is the third, fully independent reference: it needs a
+// strictly interior starting point (so the random rows keep to one
+// shared dilation bound — the mixed draws contain ratio 1, where the box
+// has no interior — and redraw the budget away from the floors) and
+// treats s_b as continuous, so it can sit slightly above Algorithm 1 and
+// must not sit substantially below it. The last row is a big.LITTLE
+// machine: per-core bounds must reach the barrier solve itself, not be
+// answered by a fall-back to Algorithm 1.
 func TestSolveMatchesNumericOnRandomInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20160418))
-	for checked := 0; checked < 8; {
+	var rows []*Inputs
+	for len(rows) < 8 {
 		in := randomInputs(rng)
-		if in.MaxZRatios != nil || len(in.ZBar) > 12 || len(in.SbCandidates) < 2 {
+		if !oneSharedBound(in) || len(in.ZBar) > 12 || len(in.SbCandidates) < 2 {
 			continue
 		}
 		in.Budget = (0.5 + 0.4*rng.Float64()) * in.Power.Peak()
-		alg, err := in.Solve()
+		if alg, err := in.Solve(); err != nil {
+			t.Fatal(err)
+		} else if alg.Feasible {
+			rows = append(rows, in)
+		}
+	}
+	mixed := testInputs(16, 0.6)
+	big, little := dvfs.DefaultCoreLadder().StepRange(), dvfs.EfficiencyCoreLadder().StepRange() // 1.82, 2.0
+	for i := range mixed.MaxZRatios {
+		mixed.MaxZRatios[i] = little
+		if i < 4 {
+			mixed.MaxZRatios[i] = big
+		}
+	}
+	rows = append(rows, mixed)
+	for k, in := range rows {
+		alg, err := in.SolveExhaustive()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !alg.Feasible {
-			continue
-		}
-		checked++
 		num, err := in.SolveNumeric(DefaultNumericOptions())
 		if err != nil {
-			t.Fatalf("numeric: %v", err)
+			t.Fatalf("row %d: numeric: %v", k, err)
+		}
+		if num.Evals != 0 {
+			t.Errorf("row %d: SolveNumeric returned an Algorithm 1 result (%d probes), not its own barrier solve", k, num.Evals)
 		}
 		if gap := (alg.D - num.D) / alg.D; gap > 0.02 {
-			t.Errorf("numeric D=%.6f vs Algorithm 1 D=%.6f (gap %.2f%%)", num.D, alg.D, gap*100)
+			t.Errorf("row %d: numeric D=%.6f vs Algorithm 1 D=%.6f (gap %.2f%%)", k, num.D, alg.D, gap*100)
 		}
 	}
+}
+
+// oneSharedBound reports whether every core has the same dilation bound.
+func oneSharedBound(in *Inputs) bool {
+	for _, r := range in.MaxZRatios {
+		if r != in.MaxZRatios[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // The regression gate for the inner solve's cost that needs no clock:

@@ -3,17 +3,11 @@
 // scheduled for the same instant fire in FIFO order, which keeps the
 // simulation deterministic for a fixed seed.
 //
-// Two scheduling APIs are offered:
-//
-//   - Schedule/At enqueue a one-shot callback. The engine recycles the
-//     internal event slot through a free-list, so steady-state cost is
-//     one closure allocation per event (zero if the caller passes a
-//     preexisting func value).
-//   - Timer is an intrusive, reusable event owned by the caller: its
-//     event slot and callback are allocated once, and Reset re-arms it
-//     with no allocation at all. Hot simulation loops (cores, memory
-//     controllers) schedule exclusively through Timers, which is what
-//     makes the steady-state event path allocation-free.
+// Events are scheduled through Timer, an intrusive, reusable event
+// owned by the caller: its event slot and callback are allocated once,
+// and Reset re-arms it with no allocation at all. The simulated cores
+// and memory controllers schedule exclusively through Timers, which is
+// what makes the steady-state event path allocation-free.
 //
 // The queue is a timing wheel, not a heap: simulated hardware schedules
 // overwhelmingly at small constant delays (bus bursts, cache hits, DRAM
@@ -113,13 +107,10 @@ type Engine struct {
 	farRef []int32
 	farMin uint64
 
-	// Per-slot state, indexed by ref: armed key, callback, and whether
-	// the slot is a recyclable one-shot (Schedule/At) or caller-owned
-	// (Timer).
-	keys    []key
-	fns     []func()
-	oneShot []bool
-	free    []int32 // recycled one-shot slots
+	// Per-slot state, indexed by ref (one slot per Timer): armed key and
+	// callback.
+	keys []key
+	fns  []func()
 
 	// Batched same-timestamp pops: when the popped head has ties, the
 	// rest of the run moves here and drains in seq order (revalidated
@@ -150,15 +141,6 @@ func (e *Engine) Pending() int {
 		return e.live - 1
 	}
 	return e.live
-}
-
-// newRef allocates a fresh event slot.
-func (e *Engine) newRef(fn func(), oneShot bool) int32 {
-	ref := int32(len(e.fns))
-	e.keys = append(e.keys, key{at: posInf})
-	e.fns = append(e.fns, fn)
-	e.oneShot = append(e.oneShot, oneShot)
-	return ref
 }
 
 // enqueue files entry (at, seq, ref) into its wheel bucket, keeping the
@@ -214,40 +196,6 @@ func (e *Engine) arm(ref int32, at float64, seq uint64) {
 	e.enqueue(at, seq, ref)
 }
 
-// Schedule enqueues fn to run delay nanoseconds from now. Negative or
-// NaN delays are treated as zero (fire at the current time, after any
-// already-queued events for this instant).
-func (e *Engine) Schedule(delay float64, fn func()) {
-	if !(delay > 0) { // catches negative, zero and NaN
-		delay = 0
-	}
-	e.scheduleAt(e.now+delay, fn)
-}
-
-// At enqueues fn at absolute time t, clamped to never fire in the past.
-func (e *Engine) At(t float64, fn func()) {
-	if !(t > e.now) { // catches past times and NaN
-		t = e.now
-	}
-	e.scheduleAt(t, fn)
-}
-
-// scheduleAt arms a one-shot event, reusing a free-list slot when one
-// is available.
-func (e *Engine) scheduleAt(at float64, fn func()) {
-	var ref int32
-	if n := len(e.free); n > 0 {
-		ref = e.free[n-1]
-		e.free = e.free[:n-1]
-		e.fns[ref] = fn
-	} else {
-		ref = e.newRef(fn, true)
-	}
-	seq := e.seq
-	e.seq++
-	e.arm(ref, at, seq)
-}
-
 // Timer is a reusable scheduled callback. The callback is fixed at
 // construction; Reset re-arms the timer (rescheduling it if already
 // pending) without allocating. A Timer belongs to exactly one Engine.
@@ -259,13 +207,16 @@ type Timer struct {
 // NewTimer creates an idle timer that will run fn when it fires. Arm it
 // with Reset.
 func (e *Engine) NewTimer(fn func()) *Timer {
-	return &Timer{e: e, ref: e.newRef(fn, false)}
+	ref := int32(len(e.fns))
+	e.keys = append(e.keys, key{at: posInf})
+	e.fns = append(e.fns, fn)
+	return &Timer{e: e, ref: ref}
 }
 
 // Reset arms the timer to fire delay nanoseconds from now, rescheduling
 // it if it is already pending. Negative or NaN delays are treated as
-// zero. Like Schedule, a Reset at the current instant fires after all
-// previously queued events for that instant (fresh FIFO sequence).
+// zero. A Reset at the current instant fires after all previously
+// queued events for that instant (fresh FIFO sequence).
 func (t *Timer) Reset(delay float64) {
 	e := t.e
 	if !(delay > 0) {
@@ -427,8 +378,7 @@ func (e *Engine) nextOccupied() (uint64, bool) {
 // t. Events created while running are honoured if they fall within the
 // horizon. Fired slots are left lazily armed: either the callback
 // re-arms the slot (one enqueue) or the next queue operation settles
-// it. One-shot slots return to the free-list before the callback runs
-// so the callback can immediately reuse them.
+// it.
 func (e *Engine) RunUntil(t float64) {
 	if math.IsNaN(t) || t < e.now {
 		return
@@ -444,12 +394,7 @@ func (e *Engine) RunUntil(t float64) {
 		}
 		e.now = at
 		e.firing = w
-		fn := e.fns[w]
-		if e.oneShot[w] {
-			e.fns[w] = nil // release the closure; keep the slot
-			e.free = append(e.free, w)
-		}
-		fn()
+		e.fns[w]()
 	}
 	// Everything at or before t has fired, so no bucket behind t's can
 	// hold a live entry; snapping the cursor keeps later pushes cheap
@@ -473,12 +418,7 @@ func (e *Engine) Step() bool {
 	}
 	e.now = at
 	e.firing = w
-	fn := e.fns[w]
-	if e.oneShot[w] {
-		e.fns[w] = nil // release the closure; keep the slot
-		e.free = append(e.free, w)
-	}
-	fn()
+	e.fns[w]()
 	e.settle()
 	return true
 }

@@ -8,12 +8,17 @@ import (
 	"testing/quick"
 )
 
+// after runs fn once, delay nanoseconds from now, on a timer of its own.
+func after(e *Engine, delay float64, fn func()) {
+	e.NewTimer(fn).Reset(delay)
+}
+
 func TestScheduleAndRun(t *testing.T) {
 	e := New()
 	var fired []float64
-	e.Schedule(10, func() { fired = append(fired, e.Now()) })
-	e.Schedule(5, func() { fired = append(fired, e.Now()) })
-	e.Schedule(20, func() { fired = append(fired, e.Now()) })
+	after(e, 10, func() { fired = append(fired, e.Now()) })
+	after(e, 5, func() { fired = append(fired, e.Now()) })
+	after(e, 20, func() { fired = append(fired, e.Now()) })
 	e.RunUntil(15)
 	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
 		t.Fatalf("fired = %v, want [5 10]", fired)
@@ -35,7 +40,7 @@ func TestFIFOWithinSameInstant(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(7, func() { order = append(order, i) })
+		after(e, 7, func() { order = append(order, i) })
 	}
 	e.RunUntil(7)
 	for i, got := range order {
@@ -48,10 +53,10 @@ func TestFIFOWithinSameInstant(t *testing.T) {
 func TestEventsCreatedDuringRun(t *testing.T) {
 	e := New()
 	var fired []float64
-	e.Schedule(1, func() {
+	after(e, 1, func() {
 		fired = append(fired, e.Now())
-		e.Schedule(1, func() { fired = append(fired, e.Now()) }) // at t=2
-		e.Schedule(100, func() { fired = append(fired, e.Now()) })
+		after(e, 1, func() { fired = append(fired, e.Now()) }) // at t=2
+		after(e, 100, func() { fired = append(fired, e.Now()) })
 	})
 	e.RunUntil(10)
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
@@ -63,9 +68,9 @@ func TestZeroAndNegativeDelay(t *testing.T) {
 	e := New()
 	e.RunUntil(5)
 	var at []float64
-	e.Schedule(0, func() { at = append(at, e.Now()) })
-	e.Schedule(-3, func() { at = append(at, e.Now()) })
-	e.Schedule(math.NaN(), func() { at = append(at, e.Now()) })
+	after(e, 0, func() { at = append(at, e.Now()) })
+	after(e, -3, func() { at = append(at, e.Now()) })
+	after(e, math.NaN(), func() { at = append(at, e.Now()) })
 	e.RunUntil(5)
 	if len(at) != 3 {
 		t.Fatalf("fired %d, want 3", len(at))
@@ -77,22 +82,11 @@ func TestZeroAndNegativeDelay(t *testing.T) {
 	}
 }
 
-func TestAtClampsToPast(t *testing.T) {
-	e := New()
-	e.RunUntil(10)
-	var at float64 = -1
-	e.At(3, func() { at = e.Now() }) // in the past → fires "now"
-	e.RunUntil(10)
-	if at != 10 {
-		t.Errorf("past event fired at %g, want 10", at)
-	}
-}
-
 func TestRunUntilBackwardsIsNoop(t *testing.T) {
 	e := New()
 	e.RunUntil(10)
 	fired := false
-	e.Schedule(1, func() { fired = true })
+	after(e, 1, func() { fired = true })
 	e.RunUntil(5) // in the past: no-op
 	if fired {
 		t.Error("event fired on backwards RunUntil")
@@ -112,8 +106,8 @@ func TestStep(t *testing.T) {
 		t.Error("Step on empty engine returned true")
 	}
 	n := 0
-	e.Schedule(2, func() { n++ })
-	e.Schedule(1, func() { n++ })
+	after(e, 2, func() { n++ })
+	after(e, 1, func() { n++ })
 	if !e.Step() || e.Now() != 1 || n != 1 {
 		t.Errorf("first Step: now=%g n=%d", e.Now(), n)
 	}
@@ -133,7 +127,7 @@ func TestHeapOrderRandomized(t *testing.T) {
 	var fired []float64
 	for _, tt := range times {
 		tt := tt
-		e.Schedule(tt, func() { fired = append(fired, tt) })
+		after(e, tt, func() { fired = append(fired, tt) })
 	}
 	e.RunUntil(2e6)
 	if len(fired) != n {
@@ -157,10 +151,10 @@ func TestClockMonotoneDuringCallbacks(t *testing.T) {
 		prev = e.Now()
 		count++
 		if count < 500 {
-			e.Schedule(rng.Float64()*10, check)
+			after(e, rng.Float64()*10, check)
 		}
 	}
-	e.Schedule(0, check)
+	after(e, 0, check)
 	e.RunUntil(1e5)
 	if count != 500 {
 		t.Fatalf("ran %d events, want 500", count)
@@ -176,7 +170,7 @@ func TestRunUntilProperty(t *testing.T) {
 		horizon := 3000.0
 		for _, r := range raw {
 			d := float64(r % 6000)
-			e.Schedule(d, func() { fired = append(fired, e.Now()) })
+			after(e, d, func() { fired = append(fired, e.Now()) })
 		}
 		e.RunUntil(horizon)
 		if e.Now() != horizon {
@@ -201,23 +195,5 @@ func TestRunUntilProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkScheduleRun(b *testing.B) {
-	e := New()
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var fn func()
-	fn = func() {
-		e.Schedule(rng.Float64()*100, fn)
-	}
-	// Keep a steady population of 1000 self-rescheduling events.
-	for i := 0; i < 1000; i++ {
-		e.Schedule(rng.Float64()*100, fn)
-	}
-	for i := 0; i < b.N; i++ {
-		e.Step()
 	}
 }

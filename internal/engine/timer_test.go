@@ -95,15 +95,15 @@ func TestTimerSelfResetInCallback(t *testing.T) {
 	}
 }
 
-// Timers and one-shot events at the same instant interleave in arming
+// Timers armed for the same instant fire in arming order, not creation
 // order (fresh FIFO sequence per Reset).
 func TestTimerFIFOWithSchedule(t *testing.T) {
 	e := New()
 	var order []int
 	t0 := e.NewTimer(func() { order = append(order, 0) })
-	e.Schedule(7, func() { order = append(order, 1) })
+	after(e, 7, func() { order = append(order, 1) })
 	t2 := e.NewTimer(func() { order = append(order, 2) })
-	t0.Reset(7) // armed after the Schedule → fires after it
+	t0.Reset(7) // created first, armed second → fires second
 	t2.Reset(7)
 	e.RunUntil(7)
 	want := []int{1, 0, 2}
@@ -143,30 +143,6 @@ func TestTimerResetDoesNotAllocate(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state timer loop allocates %.1f per run, want 0", avg)
-	}
-}
-
-// One-shot Schedule recycles heap nodes through the free-list: after
-// warm-up, only the closure itself can allocate. With a preexisting
-// func value the whole path is allocation-free.
-func TestScheduleNodeReuse(t *testing.T) {
-	e := New()
-	count := 0
-	var fn func()
-	fn = func() {
-		count++
-		if count < 10000 {
-			e.Schedule(1, fn)
-		}
-	}
-	e.Schedule(1, fn)
-	// Warm up, then measure.
-	e.RunUntil(100)
-	avg := testing.AllocsPerRun(100, func() {
-		e.Step()
-	})
-	if avg != 0 {
-		t.Errorf("one-shot path allocates %.1f per event after warm-up, want 0", avg)
 	}
 }
 

@@ -69,7 +69,7 @@ func Overhead(iters int) ([]OverheadRow, error) {
 	var out []OverheadRow
 	for _, n := range []int{16, 32, 64} {
 		s := SyntheticSnapshot(n, 0.6)
-		in := snapshotInputs(s)
+		in := s.Inputs()
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			if _, err := in.Solve(); err != nil {
@@ -84,23 +84,7 @@ func Overhead(iters int) ([]OverheadRow, error) {
 
 // SyntheticSnapshotInputs builds optimizer inputs directly (benchmarks).
 func SyntheticSnapshotInputs(n int, budgetFrac float64) *core.Inputs {
-	return snapshotInputs(SyntheticSnapshot(n, budgetFrac))
-}
-
-// snapshotInputs lifts a Snapshot into optimizer inputs (mirrors the
-// policy package's internal helper without exporting it).
-func snapshotInputs(s *policy.Snapshot) *core.Inputs {
-	mc := &qmodel.Multi{Stats: s.MemStats, Access: s.AccessProb}
-	return &core.Inputs{
-		ZBar:         s.ZBar,
-		C:            s.C,
-		Power:        s.Power,
-		Response:     func(i int, sb float64) float64 { return mc.CoreResponse(i, sb) },
-		SbBar:        s.SbBar,
-		SbCandidates: core.SbCandidatesFromLadder(s.SbBar, s.MemLadder),
-		Budget:       s.BudgetW,
-		MaxZRatio:    s.CoreLadder.StepRange(),
-	}
+	return SyntheticSnapshot(n, budgetFrac).Inputs()
 }
 
 // Table1Row is one row of the paper's Table I, measured: per-decision
@@ -148,7 +132,7 @@ func Table1(iters int) ([]Table1Row, error) {
 		numIters = 2
 	}
 	for _, n := range []int{16} {
-		in := snapshotInputs(SyntheticSnapshot(n, 0.6))
+		in := SyntheticSnapshot(n, 0.6).Inputs()
 		start := time.Now()
 		for i := 0; i < numIters; i++ {
 			if _, err := in.SolveNumeric(core.DefaultNumericOptions()); err != nil {

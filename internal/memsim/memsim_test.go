@@ -9,6 +9,11 @@ import (
 	"repro/internal/qmodel"
 )
 
+// after runs fn once, delay nanoseconds from now, on a timer of its own.
+func after(eng *engine.Engine, delay float64, fn func()) {
+	eng.NewTimer(fn).Reset(delay)
+}
+
 func newTestController(t *testing.T, eng *engine.Engine, banks int) *Controller {
 	t.Helper()
 	c, err := NewController(eng, banks, DDR3(), DefaultPower(), 0.8)
@@ -270,7 +275,7 @@ func TestRequestConservationUnderLoad(t *testing.T) {
 			Writeback: rng.Intn(4) == 0,
 		}
 		r.Done = func() { completed++ }
-		eng.Schedule(rng.Float64()*50000, func() { c.Submit(r) })
+		after(eng, rng.Float64()*50000, func() { c.Submit(r) })
 	}
 	eng.RunUntil(10e6)
 	if completed != total {
@@ -305,7 +310,7 @@ func TestResponseMatchesEq1LightLoad(t *testing.T) {
 			totalResp += eng.Now() - start
 			n++
 			if n < 2000 {
-				eng.Schedule(100, issue) // think, then next request
+				after(eng, 100, issue) // think, then next request
 			}
 		}
 		c.Submit(r)
@@ -340,7 +345,7 @@ func TestResponseMatchesEq1HeavyLoad(t *testing.T) {
 		r.Done = func() {
 			totalResp += eng.Now() - start
 			n++
-			eng.Schedule(20, issue) // short think: memory-bound
+			after(eng, 20, issue) // short think: memory-bound
 		}
 		c.Submit(r)
 	}
@@ -377,7 +382,7 @@ func TestSimAtLeastMVA(t *testing.T) {
 		r.Done = func() {
 			totalResp += eng.Now() - start
 			n++
-			eng.Schedule(think, issue)
+			after(eng, think, issue)
 		}
 		c.Submit(r)
 	}
@@ -401,7 +406,7 @@ func BenchmarkControllerThroughput(b *testing.B) {
 	var issue func()
 	issue = func() {
 		r := &Request{Bank: rng.Intn(32), Row: int32(rng.Intn(128))}
-		r.Done = func() { eng.Schedule(50, issue) }
+		r.Done = func() { after(eng, 50, issue) }
 		c.Submit(r)
 	}
 	for i := 0; i < 16; i++ {

@@ -3,8 +3,6 @@ package policy
 import (
 	"math"
 	"sort"
-
-	"repro/internal/qmodel"
 )
 
 // EqlPwr assigns every core an equal share of the core power budget, as
@@ -70,6 +68,13 @@ func (EqlPwr) Decide(s *Snapshot) (Decision, error) {
 // that fits the budget wins. With heterogeneous workloads the common
 // frequency is pinned by the hungriest core, leaving budget unharvested
 // (paper Fig. 10).
+//
+// On a machine with mixed ladders no literal common frequency exists.
+// The policy's spirit — one chip-wide setting, no per-core harvesting —
+// is one common *normalized* frequency: each candidate normalized level
+// (the union of every distinct ladder's levels) maps to the nearest step
+// of each core's own ladder. When every core shares one ladder the
+// candidates are exactly that ladder's steps, in order.
 type EqlFreq struct{}
 
 // NewEqlFreq returns the policy.
@@ -85,38 +90,6 @@ func (EqlFreq) Decide(s *Snapshot) (Decision, error) {
 	}
 	n := s.N()
 	mc := s.multi()
-	if s.heterogeneous() {
-		return eqlFreqHetero(s, mc)
-	}
-	bestD := math.Inf(-1)
-	bestF, bestM := 0, 0
-	found := false
-	for m := 0; m < s.MemLadder.Len(); m++ {
-		for f := 0; f < s.CoreLadder.Len(); f++ {
-			steps := uniformSteps(n, f)
-			if s.PredictPower(steps, m) > s.BudgetW {
-				continue
-			}
-			if d := s.objectiveD(steps, m, mc); d > bestD {
-				bestD, bestF, bestM = d, f, m
-				found = true
-			}
-		}
-	}
-	if !found {
-		return Decision{CoreSteps: make([]int, n), MemStep: 0}, nil
-	}
-	return Decision{CoreSteps: uniformSteps(n, bestF), MemStep: bestM}, nil
-}
-
-// eqlFreqHetero is Eql-Freq on a machine with mixed ladders, where no
-// literal common frequency exists. The policy's spirit — one chip-wide
-// setting, no per-core harvesting — carries over as one common
-// *normalized* frequency: each candidate normalized level (the union of
-// every distinct ladder's levels) maps to the nearest step of each
-// core's own ladder, and the best feasible objective D wins.
-func eqlFreqHetero(s *Snapshot, mc *qmodel.Multi) (Decision, error) {
-	n := s.N()
 	norms := candidateNorms(s)
 	bestD := math.Inf(-1)
 	var best Decision
@@ -124,7 +97,12 @@ func eqlFreqHetero(s *Snapshot, mc *qmodel.Multi) (Decision, error) {
 	for m := 0; m < s.MemLadder.Len(); m++ {
 		for _, x := range norms {
 			for i := 0; i < n; i++ {
-				steps[i] = s.ladder(i).NearestNorm(x)
+				lad := s.ladder(i)
+				if i > 0 && lad == s.ladder(i-1) {
+					steps[i] = steps[i-1] // cores of one class sit side by side
+					continue
+				}
+				steps[i] = lad.NearestNorm(x)
 			}
 			if s.PredictPower(steps, m) > s.BudgetW {
 				continue
@@ -148,6 +126,9 @@ func candidateNorms(s *Snapshot) []float64 {
 	var norms []float64
 	for i := 0; i < s.N(); i++ {
 		lad := s.ladder(i)
+		if i > 0 && lad == s.ladder(i-1) {
+			continue // same class as the previous core: levels already in
+		}
 		for k := 0; k < lad.Len(); k++ {
 			x := lad.NormFreq(k)
 			if !seen[x] {
@@ -158,12 +139,4 @@ func candidateNorms(s *Snapshot) []float64 {
 	}
 	sort.Float64s(norms)
 	return norms
-}
-
-func uniformSteps(n, step int) []int {
-	steps := make([]int, n)
-	for i := range steps {
-		steps[i] = step
-	}
-	return steps
 }

@@ -2,25 +2,30 @@ package policy
 
 import (
 	"repro/internal/core"
+	"repro/internal/dvfs"
 	"repro/internal/qmodel"
 )
 
 // solveScratch is the reusable state shared by the FastCap-family
 // policies: the optimizer inputs, the weighted response model, the
-// candidate buffer, and the solver scratch. One policy instance drives
-// one run (epoch after epoch), so reusing these across Decide calls
-// removes nearly all per-decision allocation. A policy instance must
-// not be used from multiple goroutines.
+// candidate buffer, the per-core ladders with their dilation bounds,
+// and the solver scratch. One policy instance drives one run (epoch
+// after epoch), so reusing these across Decide calls removes nearly all
+// per-decision allocation. A policy instance must not be used from
+// multiple goroutines.
 type solveScratch struct {
 	solver  core.Solver
 	mc      qmodel.Multi
 	in      core.Inputs
 	cands   []float64
+	ladders []*dvfs.Ladder
 	zratios []float64
 }
 
-// load points the optimizer inputs at the snapshot's slices (valid for
-// the duration of one Decide call) with the given sb candidates.
+// load is the one lift from a Snapshot to optimizer inputs: it points
+// them at the snapshot's slices (valid for the duration of one Decide
+// call) with the given sb candidates (CPU-only passes just {SbBar}) and
+// resolves every core's ladder and its f_max/f_min dilation bound.
 func (sc *solveScratch) load(s *Snapshot, cands []float64) *core.Inputs {
 	sc.mc.Stats = s.MemStats
 	sc.mc.Access = s.AccessProb
@@ -34,25 +39,20 @@ func (sc *solveScratch) load(s *Snapshot, cands []float64) *core.Inputs {
 	sc.in.SbBar = s.SbBar
 	sc.in.SbCandidates = cands
 	sc.in.Budget = s.BudgetW
-	if s.heterogeneous() {
-		sc.zratios = s.maxZRatios(sc.zratios[:0])
-		sc.in.MaxZRatio = 0
-		sc.in.MaxZRatios = sc.zratios
-	} else {
-		sc.in.MaxZRatio = s.CoreLadder.StepRange()
-		sc.in.MaxZRatios = nil
+	sc.ladders, sc.zratios = sc.ladders[:0], sc.zratios[:0]
+	for i := 0; i < s.N(); i++ {
+		lad := s.ladder(i)
+		sc.ladders = append(sc.ladders, lad)
+		sc.zratios = append(sc.zratios, lad.StepRange())
 	}
+	sc.in.MaxZRatios = sc.zratios
 	return &sc.in
 }
 
-// quantize maps the continuous solution onto the machine's ladders —
-// the per-core form on heterogeneous machines, the shared-ladder form
-// (the exact legacy computation) otherwise.
+// quantize maps the continuous solution of the loaded snapshot onto
+// each core's own ladder.
 func (sc *solveScratch) quantize(s *Snapshot, in *core.Inputs, res core.Result, guard bool) core.Assignment {
-	if s.heterogeneous() {
-		return sc.solver.QuantizePerCore(in, res, s.CoreLadders, s.MemLadder, guard)
-	}
-	return sc.solver.Quantize(in, res, s.CoreLadder, s.MemLadder, guard)
+	return sc.solver.QuantizePerCore(in, res, sc.ladders, s.MemLadder, guard)
 }
 
 // FastCap is the paper's algorithm: the O(N·log M) joint core/memory

@@ -20,6 +20,8 @@ type FreqPar struct {
 	// quota is the persistent total normalized-frequency allocation
 	// Σ f_i/f_max; <0 means "initialize on first Decide".
 	quota float64
+	// lo is per-Decide scratch: each core's lower share clamp.
+	lo []float64
 }
 
 // NewFreqPar returns the policy with the gain used in our evaluation.
@@ -74,91 +76,31 @@ func (p *FreqPar) Decide(s *Snapshot) (Decision, error) {
 		}
 		weights[i] = bips / w
 	}
-	steps := make([]int, n)
-	if s.heterogeneous() {
-		// Each core's share is normalized to its own ladder, so the
-		// per-core lower clamp is that ladder's minimum level.
-		lo := make([]float64, n)
-		loSum := 0.0
-		for i := 0; i < n; i++ {
-			lo[i] = s.ladder(i).NormFreq(0)
-			loSum += lo[i]
-		}
-		p.quota = math.Max(loSum, math.Min(float64(n), p.quota))
-		shares := distributeQuotaBounds(p.quota, weights, lo, 1)
-		for i := 0; i < n; i++ {
-			steps[i] = s.ladder(i).NearestNorm(shares[i])
-		}
-		return Decision{CoreSteps: steps, MemStep: s.MemLadder.MaxStep()}, nil
-	}
-	fMinNorm := s.CoreLadder.NormFreq(0)
-	p.quota = math.Max(float64(n)*fMinNorm, math.Min(float64(n), p.quota))
-	shares := distributeQuota(p.quota, weights, fMinNorm, 1)
+	// Each core's share is normalized to its own ladder, so the per-core
+	// lower clamp is that ladder's minimum level.
+	p.lo = p.lo[:0]
+	loSum := 0.0
 	for i := 0; i < n; i++ {
-		steps[i] = s.CoreLadder.NearestNorm(shares[i])
+		p.lo = append(p.lo, s.ladder(i).NormFreq(0))
+		loSum += p.lo[i]
+	}
+	p.quota = math.Max(loSum, math.Min(float64(n), p.quota))
+	shares := distributeQuotaBounds(p.quota, weights, p.lo, 1)
+	steps := make([]int, n)
+	for i := 0; i < n; i++ {
+		steps[i] = s.ladder(i).NearestNorm(shares[i])
 	}
 	return Decision{CoreSteps: steps, MemStep: s.MemLadder.MaxStep()}, nil
 }
 
-// distributeQuota splits a total normalized-frequency quota across cores
-// proportionally to weights, respecting the per-core [lo, hi] clamps.
-// The shares are clamp(λ·w_i, lo, hi) for the multiplier λ that makes
-// them sum to the quota; Σ clamp(λ·w_i) is monotone nondecreasing in λ,
-// so λ is found by bisection. This keeps the feedback loop honest: the
-// allocated total equals the quota whenever n·lo ≤ quota ≤ n·hi.
-func distributeQuota(quota float64, weights []float64, lo, hi float64) []float64 {
-	n := len(weights)
-	shares := make([]float64, n)
-	w := make([]float64, n)
-	minW := math.Inf(1)
-	for i, v := range weights {
-		if v <= 0 || math.IsNaN(v) {
-			v = 1e-9
-		}
-		w[i] = v
-		if v < minW {
-			minW = v
-		}
-	}
-	fill := func(lam float64) float64 {
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			s := lam * w[i]
-			if s < lo {
-				s = lo
-			} else if s > hi {
-				s = hi
-			}
-			shares[i] = s
-			sum += s
-		}
-		return sum
-	}
-	if quota <= float64(n)*lo {
-		fill(0)
-		return shares
-	}
-	if quota >= float64(n)*hi {
-		fill(math.Inf(1))
-		return shares
-	}
-	loLam, hiLam := 0.0, hi/minW // at hiLam every share clamps to hi
-	for it := 0; it < 60; it++ {
-		mid := 0.5 * (loLam + hiLam)
-		if fill(mid) < quota {
-			loLam = mid
-		} else {
-			hiLam = mid
-		}
-	}
-	fill(hiLam)
-	return shares
-}
-
-// distributeQuotaBounds is distributeQuota with a per-core lower clamp:
-// on heterogeneous machines each core's share is normalized to its own
-// ladder, whose minimum level differs per class. Same bisection on the
-// monotone Σ clamp(λ·w_i, lo_i, hi).
+// distributeQuotaBounds splits a total normalized-frequency quota across
+// cores proportionally to weights, respecting the per-core [lo_i, hi]
+// clamps (each core's share is normalized to its own ladder, whose
+// minimum level differs per class). The shares are clamp(λ·w_i, lo_i, hi)
+// for the multiplier λ that makes them sum to the quota;
+// Σ clamp(λ·w_i) is monotone nondecreasing in λ, so λ is found by
+// bisection. This keeps the feedback loop honest: the allocated total
+// equals the quota whenever Σ lo_i ≤ quota ≤ n·hi.
 func distributeQuotaBounds(quota float64, weights, lo []float64, hi float64) []float64 {
 	n := len(weights)
 	shares := make([]float64, n)

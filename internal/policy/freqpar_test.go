@@ -6,16 +6,26 @@ import (
 	"testing/quick"
 )
 
+// equalFloorShares runs the quota division with one lower clamp shared
+// by every core — the shape a machine of N equal ladders produces.
+func equalFloorShares(quota float64, weights []float64, lo, hi float64) []float64 {
+	los := make([]float64, len(weights))
+	for i := range los {
+		los[i] = lo
+	}
+	return distributeQuotaBounds(quota, weights, los, hi)
+}
+
 func TestDistributeQuotaProportional(t *testing.T) {
 	// No clamps binding: shares are proportional to weights and sum to
 	// the quota.
-	shares := distributeQuota(1.2, []float64{1, 3}, 0.1, 1.0)
+	shares := equalFloorShares(1.2, []float64{1, 3}, 0.1, 1.0)
 	if math.Abs(shares[0]-0.3) > 1e-6 || math.Abs(shares[1]-0.9) > 1e-6 {
 		t.Errorf("shares = %v, want [0.3 0.9]", shares)
 	}
 	// A clamped partner's excess redistributes: weights {1, 3} with
 	// quota 2.0 and hi = 1.0 must give both cores 1.0.
-	shares = distributeQuota(2.0, []float64{1, 3}, 0.1, 1.0)
+	shares = equalFloorShares(2.0, []float64{1, 3}, 0.1, 1.0)
 	if math.Abs(shares[0]-1.0) > 1e-6 || math.Abs(shares[1]-1.0) > 1e-6 {
 		t.Errorf("shares = %v, want [1.0 1.0]", shares)
 	}
@@ -24,7 +34,7 @@ func TestDistributeQuotaProportional(t *testing.T) {
 func TestDistributeQuotaRespectsFloor(t *testing.T) {
 	// A tiny weight would get below the floor; it must be raised to the
 	// floor and the rest re-apportioned so the total stays at the quota.
-	shares := distributeQuota(1.2, []float64{0.01, 1, 1}, 0.5, 1.0)
+	shares := equalFloorShares(1.2, []float64{0.01, 1, 1}, 0.5, 1.0)
 	sum := 0.0
 	for _, s := range shares {
 		if s < 0.5-1e-9 || s > 1.0+1e-9 {
@@ -43,7 +53,7 @@ func TestDistributeQuotaRespectsFloor(t *testing.T) {
 func TestDistributeQuotaConservesWhenFeasible(t *testing.T) {
 	quota := 2.4
 	weights := []float64{0.2, 1, 1, 2}
-	shares := distributeQuota(quota, weights, 0.4, 1.0)
+	shares := equalFloorShares(quota, weights, 0.4, 1.0)
 	sum := 0.0
 	for _, s := range shares {
 		sum += s
@@ -58,7 +68,7 @@ func TestDistributeQuotaConservesWhenFeasible(t *testing.T) {
 
 func TestDistributeQuotaCeiling(t *testing.T) {
 	// Quota exceeding n·hi pins everyone at the ceiling.
-	shares := distributeQuota(10, []float64{1, 1, 1}, 0.5, 1.0)
+	shares := equalFloorShares(10, []float64{1, 1, 1}, 0.5, 1.0)
 	for i, s := range shares {
 		if s != 1.0 {
 			t.Errorf("share %d = %g, want 1.0", i, s)
@@ -69,7 +79,7 @@ func TestDistributeQuotaCeiling(t *testing.T) {
 func TestDistributeQuotaBelowFloorTotal(t *testing.T) {
 	// Quota below n·lo: everyone sits at the floor (the controller's
 	// clamp handles the residual error).
-	shares := distributeQuota(0.5, []float64{1, 2, 3}, 0.4, 1.0)
+	shares := equalFloorShares(0.5, []float64{1, 2, 3}, 0.4, 1.0)
 	for i, s := range shares {
 		if s != 0.4 {
 			t.Errorf("share %d = %g, want floor 0.4", i, s)
@@ -91,7 +101,7 @@ func TestDistributeQuotaProperty(t *testing.T) {
 		lo, hi := 0.55, 1.0
 		n := float64(len(raw))
 		quota := n*lo + (n*hi-n*lo)*float64(qRaw)/255.0
-		shares := distributeQuota(quota, weights, lo, hi)
+		shares := equalFloorShares(quota, weights, lo, hi)
 		sum := 0.0
 		for _, s := range shares {
 			if s < lo-1e-9 || s > hi+1e-9 {

@@ -16,10 +16,7 @@ type GroupedFastCap struct {
 	Guard  bool
 	Groups []core.BudgetGroup
 
-	// solver carries solve and guard scratch across Decide calls (one
-	// instance drives one run), matching the solveScratch reuse of the
-	// other FastCap-family policies.
-	solver core.Solver
+	sc solveScratch
 }
 
 // NewGroupedFastCap builds the policy for the given socket budgets.
@@ -37,20 +34,13 @@ func (p *GroupedFastCap) Decide(s *Snapshot) (Decision, error) {
 	if err := s.Validate(); err != nil {
 		return Decision{}, err
 	}
-	gi := &core.GroupedInputs{
-		Inputs: *s.inputs(core.SbCandidatesFromLadder(s.SbBar, s.MemLadder)),
-		Groups: p.Groups,
-	}
-	res, err := p.solver.SolveGrouped(gi)
+	p.sc.cands = core.AppendSbCandidates(p.sc.cands[:0], s.SbBar, s.MemLadder)
+	gi := core.GroupedInputs{Inputs: *p.sc.load(s, p.sc.cands), Groups: p.Groups}
+	res, err := p.sc.solver.SolveGrouped(&gi)
 	if err != nil {
 		return Decision{}, err
 	}
-	var a core.Assignment
-	if s.heterogeneous() {
-		a = p.solver.QuantizePerCore(&gi.Inputs, res, s.CoreLadders, s.MemLadder, p.Guard)
-	} else {
-		a = p.solver.Quantize(&gi.Inputs, res, s.CoreLadder, s.MemLadder, p.Guard)
-	}
+	a := p.sc.quantize(s, &gi.Inputs, res, p.Guard)
 	if p.Guard {
 		p.enforceGroups(s, a.CoreSteps)
 	}

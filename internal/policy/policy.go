@@ -41,11 +41,12 @@ type Snapshot struct {
 	AccessProb [][]float64
 	// SbBar is the minimum bus transfer time, ns.
 	SbBar float64
-	// Ladders. CoreLadder is the shared core ladder of a homogeneous
-	// machine; on a heterogeneous machine CoreLadders[i] is core i's own
-	// ladder (all entries non-nil) and CoreLadder may be nil. Policies
-	// must go through ladder(i) — never index a shared ladder directly —
-	// so each core's steps always land on its own ladder.
+	// Ladders. CoreLadders[i] is core i's own ladder (all entries
+	// non-nil); the runner always publishes this form. CoreLadder is
+	// input shorthand for hand-built snapshots: with CoreLadders nil it
+	// stands for N copies of that one ladder. Policies must go through
+	// ladder(i) — never read either field directly — so the two forms
+	// are the same machine and each core's steps land on its own ladder.
 	CoreLadder  *dvfs.Ladder
 	CoreLadders []*dvfs.Ladder
 	MemLadder   *dvfs.Ladder
@@ -111,8 +112,8 @@ type Policy interface {
 	Decide(s *Snapshot) (Decision, error)
 }
 
-// ladder returns core i's DVFS ladder: its own on a heterogeneous
-// machine, the shared one otherwise.
+// ladder returns core i's DVFS ladder: CoreLadders[i], or the
+// CoreLadder shorthand when the per-core slice is not given.
 func (s *Snapshot) ladder(i int) *dvfs.Ladder {
 	if s.CoreLadders != nil {
 		return s.CoreLadders[i]
@@ -120,47 +121,18 @@ func (s *Snapshot) ladder(i int) *dvfs.Ladder {
 	return s.CoreLadder
 }
 
-// heterogeneous reports whether cores carry their own ladders. Policies
-// whose homogeneous code path must stay bit-identical branch on this.
-func (s *Snapshot) heterogeneous() bool { return s.CoreLadders != nil }
-
 // multi builds the weighted response model from the snapshot.
 func (s *Snapshot) multi() *qmodel.Multi {
 	return &qmodel.Multi{Stats: s.MemStats, Access: s.AccessProb}
 }
 
-// response returns the per-core response function R_i(s_b).
-func (s *Snapshot) response() core.ResponseFunc {
-	mc := s.multi()
-	return func(i int, sb float64) float64 { return mc.CoreResponse(i, sb) }
-}
-
-// inputs assembles the FastCap optimizer inputs; sbCandidates may be
-// restricted (CPU-only passes just {SbBar}).
-func (s *Snapshot) inputs(sbCandidates []float64) *core.Inputs {
-	in := &core.Inputs{
-		ZBar:         s.ZBar,
-		C:            s.C,
-		Power:        s.Power,
-		Response:     s.response(),
-		SbBar:        s.SbBar,
-		SbCandidates: sbCandidates,
-		Budget:       s.BudgetW,
-	}
-	if s.heterogeneous() {
-		in.MaxZRatios = s.maxZRatios(nil)
-	} else {
-		in.MaxZRatio = s.CoreLadder.StepRange()
-	}
-	return in
-}
-
-// maxZRatios appends each core's own f_max/f_min dilation bound to dst.
-func (s *Snapshot) maxZRatios(dst []float64) []float64 {
-	for i := 0; i < s.N(); i++ {
-		dst = append(dst, s.ladder(i).StepRange())
-	}
-	return dst
+// Inputs lifts the snapshot into the FastCap optimizer's inputs over
+// every memory frequency — the lift the FastCap-family policies perform
+// each Decide, for callers that drive core.Solver themselves (timing
+// studies, benchmarks). The result aliases the snapshot's slices.
+func (s *Snapshot) Inputs() *core.Inputs {
+	var sc solveScratch
+	return sc.load(s, core.SbCandidatesFromLadder(s.SbBar, s.MemLadder))
 }
 
 // sbForMemStep converts a memory ladder step to its bus transfer time.

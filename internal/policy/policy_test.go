@@ -350,12 +350,15 @@ func TestSnapshotValidate(t *testing.T) {
 func TestObjectiveDAtMaxIsOne(t *testing.T) {
 	s := snap(8, 1.0)
 	mc := s.multi()
-	steps := uniformSteps(8, s.CoreLadder.MaxStep())
+	steps := make([]int, 8)
+	for i := range steps {
+		steps[i] = s.CoreLadder.MaxStep()
+	}
 	if d := s.objectiveD(steps, s.MemLadder.MaxStep(), mc); math.Abs(d-1) > 1e-9 {
 		t.Errorf("objective at all-max = %g, want 1", d)
 	}
 	// Any slower assignment strictly reduces D.
-	slower := uniformSteps(8, 0)
+	slower := make([]int, 8)
 	if d := s.objectiveD(slower, 0, mc); d >= 1 {
 		t.Errorf("objective at all-min = %g, want < 1", d)
 	}

@@ -252,7 +252,6 @@ func (st *controllerState) snapshot(prof sim.Profile, budgetW float64) *policy.S
 	}
 	s.AccessProb = st.plat.AccessProb()
 	s.SbBar = st.plat.SbBarNs()
-	s.CoreLadder = st.layout.Uniform()
 	s.CoreLadders = st.layout.Ladders()
 	s.MemLadder = st.cfg.Sim.MemLadder
 	s.BudgetW = budgetW

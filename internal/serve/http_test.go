@@ -362,6 +362,11 @@ func TestHTTPStreamHeartbeat(t *testing.T) {
 				t.Fatalf("heartbeat line %q, want %q", got, want)
 			}
 			beats++
+			if beats == 3 {
+				// Seen enough: delete the tenant, which ends the stream,
+				// rather than wait out its remaining epochs.
+				doJSON(t, "DELETE", srv.URL+"/sessions/"+st.ID, nil).Body.Close()
+			}
 			continue
 		}
 		records++

@@ -44,8 +44,9 @@ type CoreClass struct {
 
 // MachineSpec is a machine built from named core classes — the
 // first-class description of asymmetric (big.LITTLE, binned-core)
-// many-core parts. A nil spec in Config means the legacy homogeneous
-// machine: every core on Config.CoreLadder with Config.CorePower.
+// many-core parts. A nil spec in Config means the homogeneous machine:
+// one implicit unnamed class holding every core on Config.CoreLadder
+// with Config.CorePower.
 type MachineSpec struct {
 	// Name labels the machine in results and reports.
 	Name string
@@ -141,20 +142,17 @@ type MachineLayout struct {
 	ladders  []*dvfs.Ladder
 	powers   []cpusim.PowerConfig
 	cpiScale []float64
-	// uniform is non-nil iff every core shares one ladder — the
-	// homogeneous fast path policies key their exact legacy code on.
-	uniform *dvfs.Ladder
 	// apps is the explicit per-core placement, nil when the workload mix
 	// supplies the layout.
 	apps []string
-	// classOf[i] names core i's class ("" for the legacy machine).
+	// classOf[i] names core i's class ("" on a machine without a spec).
 	classOf []string
 }
 
 // Layout resolves the config's machine description to per-core terms.
-// A nil Machine yields the homogeneous layout (every core on
-// Config.CoreLadder with Config.CorePower); a non-nil one is validated
-// against Config.Cores first.
+// A nil Machine is one implicit unnamed class that inherits everything
+// (every core on Config.CoreLadder with Config.CorePower, scale 1); a
+// non-nil one is validated against Config.Cores first.
 func (c Config) Layout() (*MachineLayout, error) {
 	n := c.Cores
 	if n <= 0 {
@@ -166,30 +164,22 @@ func (c Config) Layout() (*MachineLayout, error) {
 		cpiScale: make([]float64, n),
 		classOf:  make([]string, n),
 	}
-	if c.Machine == nil {
-		if c.CoreLadder == nil {
-			return nil, fmt.Errorf("sim: missing core DVFS ladder")
+	classes := []CoreClass{{Count: n}}
+	if c.Machine != nil {
+		if err := c.Machine.Validate(n); err != nil {
+			return nil, err
 		}
-		for i := 0; i < n; i++ {
-			l.ladders[i] = c.CoreLadder
-			l.powers[i] = c.CorePower
-			l.cpiScale[i] = 1
-		}
-		l.uniform = c.CoreLadder
-		return l, nil
-	}
-	if err := c.Machine.Validate(n); err != nil {
-		return nil, err
+		classes = c.Machine.Classes
 	}
 	var placement []string
 	core := 0
-	for _, cl := range c.Machine.Classes {
+	for _, cl := range classes {
 		ladder := cl.Ladder
 		if ladder == nil {
 			ladder = c.CoreLadder
 		}
 		if ladder == nil {
-			return nil, fmt.Errorf("sim: class %q has no ladder and the config has no default", cl.Name)
+			return nil, fmt.Errorf("sim: missing core DVFS ladder: class %q sets none and the config has no default", cl.Name)
 		}
 		pw := cl.Power
 		if pw == (cpusim.PowerConfig{}) {
@@ -211,33 +201,15 @@ func (c Config) Layout() (*MachineLayout, error) {
 		}
 	}
 	l.apps = placement
-	l.uniform = l.ladders[0]
-	for _, lad := range l.ladders[1:] {
-		if lad != l.uniform {
-			l.uniform = nil
-			break
-		}
-	}
 	return l, nil
 }
 
 // Ladder returns core i's DVFS ladder.
 func (l *MachineLayout) Ladder(i int) *dvfs.Ladder { return l.ladders[i] }
 
-// Ladders returns the per-core ladder slice when the machine is
-// heterogeneous, and nil when every core shares one ladder — exactly
-// the shape policy.Snapshot.CoreLadders expects, so the homogeneous
-// path keeps its bit-identical legacy computation.
-func (l *MachineLayout) Ladders() []*dvfs.Ladder {
-	if l.uniform != nil {
-		return nil
-	}
-	return l.ladders
-}
-
-// Uniform returns the single shared ladder, or nil for a machine with
-// mixed ladders.
-func (l *MachineLayout) Uniform() *dvfs.Ladder { return l.uniform }
+// Ladders returns the per-core ladder slice, the shape
+// policy.Snapshot.CoreLadders expects. Callers must not modify it.
+func (l *MachineLayout) Ladders() []*dvfs.Ladder { return l.ladders }
 
 // Power returns core i's power calibration.
 func (l *MachineLayout) Power(i int) cpusim.PowerConfig { return l.powers[i] }
@@ -245,7 +217,7 @@ func (l *MachineLayout) Power(i int) cpusim.PowerConfig { return l.powers[i] }
 // ExecCPIScale returns core i's microarchitectural CPI factor.
 func (l *MachineLayout) ExecCPIScale(i int) float64 { return l.cpiScale[i] }
 
-// Class returns core i's class name ("" on a legacy machine).
+// Class returns core i's class name ("" on a machine without a spec).
 func (l *MachineLayout) Class(i int) string { return l.classOf[i] }
 
 // Placement returns the explicit per-core application list, or nil

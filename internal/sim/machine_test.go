@@ -26,17 +26,28 @@ func bigLittle8() Config {
 }
 
 func TestLayoutResolution(t *testing.T) {
-	// Legacy config: uniform, inherits the config ladder and power.
+	// No machine spec: one implicit unnamed class, so every core carries
+	// the config ladder and power — N equal ladders, not a special form.
 	legacy := DefaultConfig(4)
 	l, err := legacy.Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Uniform() != legacy.CoreLadder || l.Ladders() != nil {
-		t.Error("legacy layout is not uniform on the config ladder")
+	if len(l.Ladders()) != 4 {
+		t.Fatalf("spec-less layout publishes %d ladders for 4 cores", len(l.Ladders()))
+	}
+	for i, lad := range l.Ladders() {
+		if lad != legacy.CoreLadder || l.Ladder(i) != lad || l.Class(i) != "" {
+			t.Errorf("core %d of the spec-less layout is not an unnamed core on the config ladder", i)
+		}
 	}
 	if l.Power(3) != legacy.CorePower || l.ExecCPIScale(0) != 1 {
-		t.Error("legacy layout does not inherit config power / unit CPI scale")
+		t.Error("spec-less layout does not inherit config power / unit CPI scale")
+	}
+	noLadder := DefaultConfig(4)
+	noLadder.CoreLadder = nil
+	if _, err := noLadder.Layout(); err == nil {
+		t.Error("layout accepted a config with no core ladder")
 	}
 
 	// Heterogeneous config: per-core resolution in class order.
@@ -45,8 +56,8 @@ func TestLayoutResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Uniform() != nil || l.Ladders() == nil {
-		t.Fatal("big.LITTLE layout claims to be uniform")
+	if len(l.Ladders()) != 8 {
+		t.Fatalf("big.LITTLE layout publishes %d ladders for 8 cores", len(l.Ladders()))
 	}
 	for i := 0; i < 4; i++ {
 		if l.Ladder(i) != cfg.CoreLadder || l.Class(i) != "big" || l.ExecCPIScale(i) != 1 {
@@ -60,15 +71,17 @@ func TestLayoutResolution(t *testing.T) {
 		}
 	}
 
-	// A single class with its own ladder still collapses to uniform.
+	// A single class with its own ladder puts every core on that ladder.
 	one := DefaultConfig(4)
 	one.Machine = &MachineSpec{Name: "flat", Classes: []CoreClass{{Name: "all", Count: 4, Ladder: dvfs.BinnedCoreLadder()}}}
 	l, err = one.Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Uniform() == nil || l.Uniform().Max() != 3.6 {
-		t.Error("single-class machine did not collapse to its class ladder")
+	for i, lad := range l.Ladders() {
+		if lad != one.Machine.Classes[0].Ladder || lad.Max() != 3.6 {
+			t.Errorf("core %d of the single-class machine is not on its class ladder", i)
+		}
 	}
 }
 

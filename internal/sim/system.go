@@ -34,8 +34,9 @@ type Config struct {
 
 	// Machine, when non-nil, describes a heterogeneous machine of named
 	// core classes (per-class ladders, power curves, ExecCPI scaling and
-	// app placement). Class counts must sum to Cores. Nil keeps the
-	// legacy homogeneous machine: every core on CoreLadder/CorePower.
+	// app placement). Class counts must sum to Cores. Nil is the
+	// homogeneous machine, one implicit class: every core on
+	// CoreLadder/CorePower.
 	Machine *MachineSpec
 
 	EpochNs   float64
