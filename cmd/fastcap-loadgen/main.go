@@ -355,16 +355,16 @@ func summarize(xs []float64) *LatencySummary {
 
 // Report is the loadgen's machine-readable result.
 type Report struct {
-	Base           string         `json:"base"`
-	Concurrency    int            `json:"concurrency"`
-	ClusterWorkers int            `json:"cluster_workers,omitempty"`
-	Lifecycles     int            `json:"lifecycles"`
-	Errors         int            `json:"errors"`
-	FirstError     string         `json:"first_error,omitempty"`
-	ElapsedSec     float64        `json:"elapsed_sec"`
-	SessionsPerSec float64        `json:"sessions_per_sec"`
-	Epochs       int     `json:"epochs"`
-	EpochsPerSec float64 `json:"epochs_per_sec"`
+	Base           string  `json:"base"`
+	Concurrency    int     `json:"concurrency"`
+	ClusterWorkers int     `json:"cluster_workers,omitempty"`
+	Lifecycles     int     `json:"lifecycles"`
+	Errors         int     `json:"errors"`
+	FirstError     string  `json:"first_error,omitempty"`
+	ElapsedSec     float64 `json:"elapsed_sec"`
+	SessionsPerSec float64 `json:"sessions_per_sec"`
+	Epochs         int     `json:"epochs"`
+	EpochsPerSec   float64 `json:"epochs_per_sec"`
 	// Latency blocks are omitted (not zeroed) for classes that recorded
 	// no samples, e.g. retarget when -retarget 0 disables it.
 	Create   *LatencySummary `json:"create,omitempty"`

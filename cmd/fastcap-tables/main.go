@@ -72,43 +72,15 @@ func main() {
 			want["table"+tb] = true
 		}
 	}
-	if *all {
-		for _, k := range []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "overhead", "epochs-study", "validate", "ablation", "cache", "hetero", "cluster", "slo", "predictive"} {
-			want[k] = true
+	for key, on := range map[string]bool{
+		"overhead": *overhead, "validate": *validate, "ablation": *ablation,
+		"hetero": *hetero, "cluster": *clusterS, "slo": *sloS, "predictive": *predS,
+		"cache": *cacheCmp, "epochs-study": *epochStu,
+	} {
+		if on {
+			want[key] = true
 		}
 	}
-	if *overhead {
-		want["overhead"] = true
-	}
-	if *validate {
-		want["validate"] = true
-	}
-	if *ablation {
-		want["ablation"] = true
-	}
-	if *hetero {
-		want["hetero"] = true
-	}
-	if *clusterS {
-		want["cluster"] = true
-	}
-	if *sloS {
-		want["slo"] = true
-	}
-	if *predS {
-		want["predictive"] = true
-	}
-	if *cacheCmp {
-		want["cache"] = true
-	}
-	if *epochStu {
-		want["epochs-study"] = true
-	}
-	if len(want) == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	g := &generator{lab: lab, outDir: *outDir}
 	steps := []struct {
 		key string
@@ -118,14 +90,28 @@ func main() {
 		{"table2", g.table2},
 		{"table3", g.table3},
 		{"fig3", g.fig3},
-		{"fig4", g.fig4},
-		{"fig5", g.fig5},
+		{"fig4", func() error {
+			return g.emitSeries("fig4.csv", "Fig. 4 — core/memory power split over time, MIX3 @ 60%", lab.Fig4, 3)
+		}},
+		{"fig5", func() error {
+			return g.emitSeries("fig5.csv", "Fig. 5 — normalized power over time, MEM3, three budgets", lab.Fig5, 3)
+		}},
 		{"fig6", g.fig6},
-		{"fig7", g.fig7},
-		{"fig8", g.fig8},
-		{"fig9", g.fig9},
-		{"fig10", g.fig10},
-		{"fig11", g.fig11},
+		{"fig7", func() error {
+			return g.emitSeries("fig7.csv", "Fig. 7 — core frequency (GHz) over time, budget 80%", lab.Fig7, 2)
+		}},
+		{"fig8", func() error {
+			return g.emitSeries("fig8.csv", "Fig. 8 — memory frequency (MHz) over time, budget 80%", lab.Fig8, 0)
+		}},
+		{"fig9", func() error {
+			return g.policyTable("Fig. 9 — FastCap vs CPU-only* vs Freq-Par* vs Eql-Pwr, budget 60%", "fig9.csv", lab.Fig9)
+		}},
+		{"fig10", func() error {
+			return g.policyTable("Fig. 10 — FastCap vs Eql-Freq, MIX on 64 cores, budget 60%", "fig10.csv", lab.Fig10)
+		}},
+		{"fig11", func() error {
+			return g.policyTable("Fig. 11 — FastCap vs MaxBIPS, MIX on 4 cores, budget 60%", "fig11.csv", lab.Fig11)
+		}},
 		{"fig12", g.fig1213},
 		{"fig13", g.fig1213},
 		{"overhead", g.overhead},
@@ -134,9 +120,18 @@ func main() {
 		{"ablation", g.ablation},
 		{"cache", g.cacheContention},
 		{"hetero", g.hetero},
-		{"cluster", g.cluster},
-		{"slo", g.slo},
-		{"predictive", g.predictive},
+		{"cluster", func() error { return g.fleet("cluster") }},
+		{"slo", func() error { return g.fleet("slo") }},
+		{"predictive", func() error { return g.fleet("predictive") }},
+	}
+	if *all {
+		for _, s := range steps {
+			want[s.key] = true
+		}
+	}
+	if len(want) == 0 {
+		flag.Usage()
+		os.Exit(2)
 	}
 	done := map[string]bool{}
 	for _, s := range steps {
@@ -174,53 +169,47 @@ func (g *generator) writeCSV(name string, headers []string, rows [][]string) err
 	return report.WriteCSV(f, headers, rows)
 }
 
-func (g *generator) seriesTable(title string, series []experiments.Series, yFmt int) *report.Table {
-	headers := []string{"epoch"}
+// seriesRows lays series out as epoch-aligned rows, values at prec
+// decimals; a series shorter than the first leaves its cells empty.
+func seriesRows(series []experiments.Series, prec int) (headers []string, rows [][]string) {
+	headers = []string{"epoch"}
 	for _, s := range series {
 		headers = append(headers, s.Name)
 	}
-	tbl := &report.Table{Title: title, Headers: headers}
 	if len(series) == 0 {
-		return tbl
+		return headers, nil
 	}
 	for i := range series[0].X {
 		row := []string{report.F(series[0].X[i], 0)}
 		for _, s := range series {
 			if i < len(s.Y) {
-				row = append(row, report.F(s.Y[i], yFmt))
-			} else {
-				row = append(row, "")
-			}
-		}
-		tbl.AddRow(row...)
-	}
-	return tbl
-}
-
-func (g *generator) emitSeries(name, title string, series []experiments.Series, yFmt int) error {
-	if err := g.seriesTable(title, series, yFmt).Render(os.Stdout); err != nil {
-		return err
-	}
-	if g.outDir == "" {
-		return nil
-	}
-	var rows [][]string
-	for i := range series[0].X {
-		row := []string{report.F(series[0].X[i], 0)}
-		for _, s := range series {
-			if i < len(s.Y) {
-				row = append(row, report.F(s.Y[i], 5))
+				row = append(row, report.F(s.Y[i], prec))
 			} else {
 				row = append(row, "")
 			}
 		}
 		rows = append(rows, row)
 	}
-	headers := []string{"epoch"}
-	for _, s := range series {
-		headers = append(headers, s.Name)
+	return headers, rows
+}
+
+// emitSeries runs one time-series figure, prints it at yFmt decimals
+// and writes it to name at full CSV precision.
+func (g *generator) emitSeries(name, title string, fig func() ([]experiments.Series, error), yFmt int) error {
+	series, err := fig()
+	if err != nil {
+		return err
 	}
-	return g.writeCSV(name, headers, rows)
+	headers, rows := seriesRows(series, yFmt)
+	tbl := &report.Table{Title: title, Headers: headers}
+	for _, r := range rows {
+		tbl.AddRow(r...)
+	}
+	if err := tbl.Render(os.Stdout); err != nil {
+		return err
+	}
+	_, csvRows := seriesRows(series, 5)
+	return g.writeCSV(name, headers, csvRows)
 }
 
 func (g *generator) table1() error {
@@ -296,22 +285,6 @@ func (g *generator) fig3() error {
 	return g.writeCSV("fig3.csv", []string{"workload", "power_over_peak"}, rows)
 }
 
-func (g *generator) fig4() error {
-	series, err := g.lab.Fig4()
-	if err != nil {
-		return err
-	}
-	return g.emitSeries("fig4.csv", "Fig. 4 — core/memory power split over time, MIX3 @ 60%", series, 3)
-}
-
-func (g *generator) fig5() error {
-	series, err := g.lab.Fig5()
-	if err != nil {
-		return err
-	}
-	return g.emitSeries("fig5.csv", "Fig. 5 — normalized power over time, MEM3, three budgets", series, 3)
-}
-
 func (g *generator) fig6() error {
 	rows, err := g.lab.Fig6()
 	if err != nil {
@@ -332,23 +305,13 @@ func (g *generator) fig6() error {
 	return g.writeCSV("fig6.csv", []string{"class", "budget", "avg", "worst", "jain"}, csv)
 }
 
-func (g *generator) fig7() error {
-	series, err := g.lab.Fig7()
+// policyTable runs one policy-comparison figure and writes its table
+// and CSV.
+func (g *generator) policyTable(title, csvName string, fig func() ([]experiments.PolicyPerf, error)) error {
+	rows, err := fig()
 	if err != nil {
 		return err
 	}
-	return g.emitSeries("fig7.csv", "Fig. 7 — core frequency (GHz) over time, budget 80%", series, 2)
-}
-
-func (g *generator) fig8() error {
-	series, err := g.lab.Fig8()
-	if err != nil {
-		return err
-	}
-	return g.emitSeries("fig8.csv", "Fig. 8 — memory frequency (MHz) over time, budget 80%", series, 0)
-}
-
-func (g *generator) policyTable(title, csvName string, rows []experiments.PolicyPerf) error {
 	tbl := &report.Table{
 		Title:   title,
 		Headers: []string{"workload", "policy", "avg", "worst", "Jain"},
@@ -362,30 +325,6 @@ func (g *generator) policyTable(title, csvName string, rows []experiments.Policy
 		return err
 	}
 	return g.writeCSV(csvName, []string{"workload", "policy", "avg", "worst", "jain"}, csvRows)
-}
-
-func (g *generator) fig9() error {
-	rows, err := g.lab.Fig9()
-	if err != nil {
-		return err
-	}
-	return g.policyTable("Fig. 9 — FastCap vs CPU-only* vs Freq-Par* vs Eql-Pwr, budget 60%", "fig9.csv", rows)
-}
-
-func (g *generator) fig10() error {
-	rows, err := g.lab.Fig10()
-	if err != nil {
-		return err
-	}
-	return g.policyTable("Fig. 10 — FastCap vs Eql-Freq, MIX on 64 cores, budget 60%", "fig10.csv", rows)
-}
-
-func (g *generator) fig11() error {
-	rows, err := g.lab.Fig11()
-	if err != nil {
-		return err
-	}
-	return g.policyTable("Fig. 11 — FastCap vs MaxBIPS, MIX on 4 cores, budget 60%", "fig11.csv", rows)
 }
 
 func (g *generator) fig1213() error {
@@ -499,86 +438,82 @@ func (g *generator) hetero() error {
 		[]string{"machine", "workload", "policy", "avg_pwr", "max_pwr", "avg_perf", "worst_perf", "jain"}, csvRows)
 }
 
-func (g *generator) cluster() error {
-	rows, err := g.lab.ClusterSweep()
-	if err != nil {
-		return err
-	}
-	tbl := &report.Table{
-		Title:   "Cluster coordination — global budget arbitration across machines",
-		Headers: []string{"arbiter", "budget", "member", "workload", "machine", "avg grant W", "avg power W", "avg slack W", "grant first→last W", "Ginstr", "norm perf"},
-	}
-	var csvRows [][]string
-	for _, r := range rows {
-		shift := fmt.Sprintf("%s → %s", report.F(r.FirstGrantW, 1), report.F(r.LastGrantW, 1))
-		tbl.AddRow(r.Arbiter, report.Pct(r.BudgetFrac), r.Member, r.Mix, r.Machine,
-			report.F(r.AvgGrantW, 1), report.F(r.AvgPowerW, 1), report.F(r.AvgSlackW, 1),
-			shift, report.F(r.GInstr, 3), report.F(r.NormPerf, 3))
-		csvRows = append(csvRows, []string{r.Arbiter, report.F(r.BudgetFrac, 2), r.Member, r.Mix, r.Machine,
-			report.F(r.AvgGrantW, 5), report.F(r.AvgPowerW, 5), report.F(r.AvgSlackW, 5),
-			report.F(r.FirstGrantW, 5), report.F(r.LastGrantW, 5), report.F(r.GInstr, 5), report.F(r.NormPerf, 5)})
-	}
-	if err := tbl.Render(os.Stdout); err != nil {
-		return err
-	}
-	return g.writeCSV("cluster.csv",
-		[]string{"arbiter", "budget", "member", "workload", "machine", "avg_grant_w", "avg_power_w", "avg_slack_w", "first_grant_w", "last_grant_w", "ginstr", "norm_perf"}, csvRows)
+// fleetTable lays out one fleet scenario's output: row returns a
+// member row's table cells and CSV values, under head and csv.
+type fleetTable struct {
+	title     string
+	head, csv []string
+	row       func(r experiments.FleetRow) (cells, vals []string)
 }
 
-func (g *generator) slo() error {
-	rows, err := g.lab.SLOSweep()
-	if err != nil {
-		return err
-	}
-	tbl := &report.Table{
-		Title:   "SLO arbitration — throughput contracts on a churning fleet",
-		Headers: []string{"arbiter", "budget", "member", "workload", "target BIPS", "avg BIPS", "satisfied", "violations", "avg grant W", "avg slack W"},
-	}
-	var csvRows [][]string
-	for _, r := range rows {
-		target := "-"
-		if r.TargetBIPS > 0 {
-			target = report.F(r.TargetBIPS, 3)
-		}
-		tbl.AddRow(r.Arbiter, report.Pct(r.BudgetFrac), r.Member, r.Mix,
-			target, report.F(r.AvgBIPS, 3), report.Pct(r.SatisfiedFrac),
-			fmt.Sprint(r.Violations), report.F(r.AvgGrantW, 1), report.F(r.AvgSlackW, 1))
-		csvRows = append(csvRows, []string{r.Arbiter, report.F(r.BudgetFrac, 2), r.Member, r.Mix,
-			report.F(r.TargetBIPS, 5), report.F(r.AvgBIPS, 5), report.F(r.SatisfiedFrac, 5),
-			fmt.Sprint(r.Violations), report.F(r.AvgGrantW, 5), report.F(r.AvgSlackW, 5)})
-	}
-	if err := tbl.Render(os.Stdout); err != nil {
-		return err
-	}
-	return g.writeCSV("slo.csv",
-		[]string{"arbiter", "budget", "member", "workload", "target_bips", "avg_bips", "satisfied_frac", "violations", "avg_grant_w", "avg_slack_w"}, csvRows)
+var fleetTables = map[string]fleetTable{
+	"cluster": {
+		title: "Cluster coordination — global budget arbitration across machines",
+		head:  []string{"arbiter", "budget", "member", "workload", "machine", "avg grant W", "avg power W", "avg slack W", "grant first→last W", "Ginstr", "norm perf"},
+		csv:   []string{"arbiter", "budget", "member", "workload", "machine", "avg_grant_w", "avg_power_w", "avg_slack_w", "first_grant_w", "last_grant_w", "ginstr", "norm_perf"},
+		row: func(r experiments.FleetRow) ([]string, []string) {
+			shift := fmt.Sprintf("%s → %s", report.F(r.FirstGrantW, 1), report.F(r.LastGrantW, 1))
+			return []string{r.Arbiter, report.Pct(r.BudgetFrac), r.Member, r.Mix, r.Machine,
+					report.F(r.AvgGrantW, 1), report.F(r.AvgPowerW, 1), report.F(r.AvgSlackW, 1),
+					shift, report.F(r.GInstr, 3), report.F(r.NormPerf, 3)},
+				[]string{r.Arbiter, report.F(r.BudgetFrac, 2), r.Member, r.Mix, r.Machine,
+					report.F(r.AvgGrantW, 5), report.F(r.AvgPowerW, 5), report.F(r.AvgSlackW, 5),
+					report.F(r.FirstGrantW, 5), report.F(r.LastGrantW, 5), report.F(r.GInstr, 5), report.F(r.NormPerf, 5)}
+		},
+	},
+	"slo": {
+		title: "SLO arbitration — throughput contracts on a churning fleet",
+		head:  []string{"arbiter", "budget", "member", "workload", "target BIPS", "avg BIPS", "satisfied", "violations", "avg grant W", "avg slack W"},
+		csv:   []string{"arbiter", "budget", "member", "workload", "target_bips", "avg_bips", "satisfied_frac", "violations", "avg_grant_w", "avg_slack_w"},
+		row: func(r experiments.FleetRow) ([]string, []string) {
+			target := "-"
+			if r.TargetBIPS > 0 {
+				target = report.F(r.TargetBIPS, 3)
+			}
+			return []string{r.Arbiter, report.Pct(r.BudgetFrac), r.Member, r.Mix,
+					target, report.F(r.AvgBIPS, 3), report.Pct(r.SatisfiedFrac),
+					fmt.Sprint(r.Violations), report.F(r.AvgGrantW, 1), report.F(r.AvgSlackW, 1)},
+				[]string{r.Arbiter, report.F(r.BudgetFrac, 2), r.Member, r.Mix,
+					report.F(r.TargetBIPS, 5), report.F(r.AvgBIPS, 5), report.F(r.SatisfiedFrac, 5),
+					fmt.Sprint(r.Violations), report.F(r.AvgGrantW, 5), report.F(r.AvgSlackW, 5)}
+		},
+	},
+	"predictive": {
+		title: "Predictive arbitration — forecast-driven hand-off on phase changes",
+		head:  []string{"scenario", "arbiter", "budget", "member", "workload", "reclaim epochs", "overshoot W·e", "avg grant W", "avg power W", "ginstr", "violations"},
+		csv:   []string{"scenario", "arbiter", "budget", "member", "workload", "reclaim_epochs", "overshoot_w_epochs", "avg_grant_w", "avg_power_w", "ginstr", "floor_violations", "clamp_violations"},
+		row: func(r experiments.FleetRow) ([]string, []string) {
+			return []string{r.Variant, r.Arbiter, report.Pct(r.BudgetFrac), r.Member, r.Mix,
+					fmt.Sprint(r.TimeToReclaim), report.F(r.OvershootWEpochs, 1),
+					report.F(r.AvgGrantW, 1), report.F(r.AvgPowerW, 1), report.F(r.GInstr, 2),
+					fmt.Sprint(r.FloorViolations + r.ClampViolations)},
+				[]string{r.Variant, r.Arbiter, report.F(r.BudgetFrac, 3), r.Member, r.Mix,
+					fmt.Sprint(r.TimeToReclaim), report.F(r.OvershootWEpochs, 5),
+					report.F(r.AvgGrantW, 5), report.F(r.AvgPowerW, 5), report.F(r.GInstr, 5),
+					fmt.Sprint(r.FloorViolations), fmt.Sprint(r.ClampViolations)}
+		},
+	},
 }
 
-func (g *generator) predictive() error {
-	rows, err := g.lab.PredictiveSweep()
+// fleet runs the named fleet scenario and writes its table and
+// <name>.csv.
+func (g *generator) fleet(name string) error {
+	rows, err := g.lab.FleetSweep(name)
 	if err != nil {
 		return err
 	}
-	tbl := &report.Table{
-		Title:   "Predictive arbitration — forecast-driven hand-off on phase changes",
-		Headers: []string{"scenario", "arbiter", "budget", "member", "workload", "reclaim epochs", "overshoot W·e", "avg grant W", "avg power W", "ginstr", "violations"},
-	}
+	layout := fleetTables[name]
+	tbl := &report.Table{Title: layout.title, Headers: layout.head}
 	var csvRows [][]string
 	for _, r := range rows {
-		tbl.AddRow(r.Scenario, r.Arbiter, report.Pct(r.BudgetFrac), r.Member, r.Mix,
-			fmt.Sprint(r.TimeToReclaim), report.F(r.OvershootWEpochs, 1),
-			report.F(r.AvgGrantW, 1), report.F(r.AvgPowerW, 1), report.F(r.GInstr, 2),
-			fmt.Sprint(r.FloorViolations+r.ClampViolations))
-		csvRows = append(csvRows, []string{r.Scenario, r.Arbiter, report.F(r.BudgetFrac, 3), r.Member, r.Mix,
-			fmt.Sprint(r.TimeToReclaim), report.F(r.OvershootWEpochs, 5),
-			report.F(r.AvgGrantW, 5), report.F(r.AvgPowerW, 5), report.F(r.GInstr, 5),
-			fmt.Sprint(r.FloorViolations), fmt.Sprint(r.ClampViolations)})
+		cells, vals := layout.row(r)
+		tbl.AddRow(cells...)
+		csvRows = append(csvRows, vals)
 	}
 	if err := tbl.Render(os.Stdout); err != nil {
 		return err
 	}
-	return g.writeCSV("predictive.csv",
-		[]string{"scenario", "arbiter", "budget", "member", "workload", "reclaim_epochs", "overshoot_w_epochs", "avg_grant_w", "avg_power_w", "ginstr", "floor_violations", "clamp_violations"}, csvRows)
+	return g.writeCSV(name+".csv", layout.csv, csvRows)
 }
 
 func (g *generator) epochStudy() error {

@@ -300,40 +300,3 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Errorf("profile default = %g", o.ProfileNs)
 	}
 }
-
-func TestDynamicBudgetTracksTrace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	l := NewLab(Options{Cores: 4, Epochs: 10, EpochNs: 5e5, MixesPerClass: 1})
-	trace := func(e int) float64 {
-		if e < 5 {
-			return 0.8
-		}
-		return 0.5
-	}
-	series, err := l.DynamicBudget("MID1", trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 2 {
-		t.Fatalf("got %d series, want budget+power", len(series))
-	}
-	budget, power := series[0], series[1]
-	if len(budget.Y) != 10 || len(power.Y) != 10 {
-		t.Fatalf("series lengths %d/%d, want 10", len(budget.Y), len(power.Y))
-	}
-	for e, b := range budget.Y {
-		want := trace(e)
-		if b != want {
-			t.Errorf("epoch %d: budget series %.3f, want %.3f", e, b, want)
-		}
-	}
-	// Power follows the cut: last epochs draw less than the early ones.
-	if power.Y[9] >= power.Y[4] {
-		t.Errorf("power did not follow the budget cut: %.3f → %.3f", power.Y[4], power.Y[9])
-	}
-	if _, err := l.DynamicBudget("MID1", nil); err == nil {
-		t.Error("nil trace accepted")
-	}
-}
