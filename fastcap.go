@@ -1,59 +1,12 @@
 // Package fastcap is the public API of this FastCap reproduction — an
 // implementation of "FastCap: An Efficient and Fair Algorithm for Power
 // Capping in Many-Core Systems" (Liu, Cox, Deng, Draper, Bianchini —
-// ISPASS 2016), together with the simulated many-core platform, the
-// baseline policies, and the experiment harness of the paper's
-// evaluation.
+// ISPASS 2016) with its simulated many-core platform, baseline policies
+// and experiment harness. It re-exports the part of the internal
+// packages that its examples and tests use.
 //
-// The heavy lifting lives in internal packages; this package re-exports
-// the stable surface:
-//
-//   - the FastCap optimizer (Algorithm 1) and its inputs: Inputs, Solve;
-//   - capping policies behind the Policy interface: NewFastCapPolicy,
-//     NewCPUOnlyPolicy, NewFreqParPolicy, NewEqlPwrPolicy,
-//     NewEqlFreqPolicy, NewMaxBIPSPolicy;
-//   - the streaming controller: Platform, NewSession, Session.Step,
-//     with the batch wrappers RunExperiment, RunExperimentPair;
-//   - trace record/replay for policy dry-runs: NewRecorder,
-//     NewReplayPlatform;
-//   - the multi-session serving layer behind cmd/fastcapd:
-//     NewSessionManager, NewServeHandler;
-//   - cluster-level budget coordination (one global watt budget
-//     arbitrated across many sessions): NewClusterCoordinator with the
-//     static / slack-reclaiming / priority-weighted / SLO /
-//     predictive arbiters;
-//   - the simulated platform: DefaultSystemConfig, NewSystem;
-//   - Table III workloads: Workloads, WorkloadByName;
-//   - the figure-level experiment harness: NewLab.
-//
-// Quick start — stream a capped run one control epoch at a time:
-//
-//	mix, _ := fastcap.WorkloadByName("MIX3")
-//	cfg := fastcap.ExperimentConfig{
-//		Sim:        fastcap.DefaultSystemConfig(16),
-//		Mix:        mix,
-//		BudgetFrac: 0.6,
-//		Epochs:     40,
-//		Policy:     fastcap.NewFastCapPolicy(),
-//	}
-//	ses, _ := fastcap.NewSession(cfg, fastcap.WithObserver(func(e fastcap.EpochRecord) {
-//		fmt.Printf("epoch %d: %.1f W under a %.1f W cap\n", e.Epoch, e.AvgPowerW, e.BudgetW)
-//	}))
-//	for {
-//		if _, err := ses.Step(ctx); err != nil {
-//			break // fastcap.ErrSessionDone after the last epoch
-//		}
-//	}
-//	res := ses.Result()
-//
-// Sessions can be retargeted mid-run (SetBudgetFrac), driven by a
-// per-epoch budget trace (WithBudgetTrace), cancelled via the Step
-// context, and attached to any Platform — the event-driven simulator,
-// a recorded trace (NewReplayPlatform), or a production adapter. The
-// batch form is one call:
-//
-//	res, base, _ := fastcap.RunExperimentPair(cfg)
-//	norm, _ := res.NormalizedPerf(base)
+// Quick start: ExampleNewSession caps a simulated server with FastCap
+// one control epoch at a time (go test -run ExampleNewSession -v .).
 package fastcap
 
 import (
@@ -70,28 +23,9 @@ import (
 	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// Optimizer surface (paper §III-B, Algorithm 1).
-type (
-	// Inputs are the FastCap optimizer inputs: think times, cache times,
-	// fitted power models, queue statistics, budget.
-	Inputs = core.Inputs
-	// Result is the continuous optimizer solution (objective D, think
-	// times, bus transfer time) before DVFS-ladder quantization.
-	Result = core.Result
-	// Assignment is the quantized ladder assignment.
-	Assignment = core.Assignment
-	// ResponseFunc evaluates the per-core memory response time R_i(s_b).
-	ResponseFunc = core.ResponseFunc
-)
-
-// SbCandidatesFromLadder derives the optimizer's M candidate bus
-// transfer times from a memory DVFS ladder.
-func SbCandidatesFromLadder(sbBar float64, memLadder *Ladder) []float64 {
-	return core.SbCandidatesFromLadder(sbBar, memLadder)
-}
 
 // DVFS ladders (paper §IV-A).
 type Ladder = dvfs.Ladder
@@ -99,55 +33,26 @@ type Ladder = dvfs.Ladder
 // DefaultCoreLadder returns 10 steps spanning 2.2–4.0 GHz at 0.65–1.2 V.
 func DefaultCoreLadder() *Ladder { return dvfs.DefaultCoreLadder() }
 
-// EfficiencyCoreLadder returns the little-core ladder (1.2–2.4 GHz) of
-// the heterogeneous machine specs.
-func EfficiencyCoreLadder() *Ladder { return dvfs.EfficiencyCoreLadder() }
-
-// BinnedCoreLadder returns the slow-bin core ladder (2.0–3.6 GHz).
-func BinnedCoreLadder() *Ladder { return dvfs.BinnedCoreLadder() }
-
-// NamedCoreLadder resolves a ladder preset: "perf", "efficiency" or
-// "binned".
-func NamedCoreLadder(name string) (*Ladder, error) { return dvfs.NamedCoreLadder(name) }
-
 // DefaultMemLadder returns 200–800 MHz in 66 MHz steps.
 func DefaultMemLadder() *Ladder { return dvfs.DefaultMemLadder() }
 
-// Heterogeneous machines: named core classes with per-class DVFS
-// ladders, power curves, ExecCPI scaling, and optional explicit app
-// placement. Set SystemConfig.Machine to build one; class counts must
-// sum to the core count. A nil Machine is the homogeneous machine — one
-// implicit class through the same per-core code, with results
-// bit-identical to earlier releases.
-type (
-	// MachineSpec describes an asymmetric machine as named core classes.
-	MachineSpec = sim.MachineSpec
-	// CoreClass is one named group of identical cores.
-	CoreClass = sim.CoreClass
-	// MachineLayout is the per-core resolution of a machine description
-	// (ladders, power calibrations, placement).
-	MachineLayout = sim.MachineLayout
-)
+// SbCandidatesFromLadder derives the optimizer's M candidate bus
+// transfer times (paper §III-B, Algorithm 1) from a memory DVFS ladder.
+func SbCandidatesFromLadder(sbBar float64, memLadder *Ladder) []float64 {
+	return core.SbCandidatesFromLadder(sbBar, memLadder)
+}
 
-// Policies (paper §IV-B).
-type (
-	// Policy is one capping algorithm: Snapshot in, Decision out.
-	//
-	// Ownership contracts (performance-motivated):
-	//   - A policy instance may keep internal scratch across Decide
-	//     calls; use one instance per concurrent run. Instances must not
-	//     be shared between goroutines.
-	//   - The Snapshot (and its slices) passed to Decide is only valid
-	//     for the duration of the call — the runner refills one buffer
-	//     per epoch. Implementations that retain per-epoch data must
-	//     copy it.
-	Policy = policy.Policy
-	// Snapshot is the per-epoch controller input. Snapshots handed to
-	// Policy.Decide are reused across epochs; copy anything you keep.
-	Snapshot = policy.Snapshot
-	// Decision is a full per-core + memory DVFS assignment.
-	Decision = policy.Decision
-)
+// Policy is one capping algorithm (paper §IV-B): Snapshot → Decision.
+//
+// Ownership contracts (performance-motivated):
+//   - A policy instance may keep internal scratch across Decide
+//     calls; use one instance per concurrent run. Instances must not
+//     be shared between goroutines.
+//   - The Snapshot (and its slices) passed to Decide is only valid
+//     for the duration of the call — the runner refills one buffer
+//     per epoch. Implementations that retain per-epoch data must
+//     copy it.
+type Policy = policy.Policy
 
 // NewFastCapPolicy returns the paper's algorithm (guarded quantization,
 // binary search over memory frequencies).
@@ -188,9 +93,9 @@ func NewGroupedFastCapPolicy(groups []BudgetGroup) Policy {
 	return policy.NewGroupedFastCap(groups)
 }
 
-// Simulated platform (paper §IV-A, Table II).
 type (
-	// SystemConfig describes the simulated machine.
+	// SystemConfig describes the simulated machine (paper §IV-A,
+	// Table II).
 	SystemConfig = sim.Config
 	// System is an instantiated machine bound to a workload.
 	//
@@ -208,17 +113,11 @@ func DefaultSystemConfig(n int) SystemConfig { return sim.DefaultConfig(n) }
 // NewSystem builds a simulated machine running the given workload.
 func NewSystem(cfg SystemConfig, wl *Workload) (*System, error) { return sim.New(cfg, wl) }
 
-// Workloads (paper Table III).
 type (
 	// WorkloadSpec is one Table III row.
 	WorkloadSpec = workload.MixSpec
 	// Workload is an instantiated mix: one application per core.
 	Workload = workload.Workload
-	// PhaseSchedule scales workload intensity at chosen epochs —
-	// diurnal load shifts for churn experiments. Zero value: no shifts.
-	PhaseSchedule = workload.PhaseSchedule
-	// PhaseShift is one step of a PhaseSchedule.
-	PhaseShift = workload.PhaseShift
 )
 
 // Workloads returns all 16 Table III mixes.
@@ -233,15 +132,9 @@ func InstantiateWorkload(spec WorkloadSpec, n int) (*Workload, error) {
 	return workload.Instantiate(spec, n)
 }
 
-// PlaceWorkload builds a workload from an explicit application-per-core
-// placement (the heterogeneous machines' layout; rates are standalone).
-func PlaceWorkload(name string, appNames []string) (*Workload, error) {
-	return workload.InstantiatePlacement(name, appNames)
-}
-
-// Experiment runner (paper §III-C epoch protocol).
 type (
-	// ExperimentConfig describes one capping run.
+	// ExperimentConfig describes one capping run of the paper's §III-C
+	// epoch protocol.
 	ExperimentConfig = runner.Config
 	// ExperimentResult carries per-epoch power series and per-core
 	// performance.
@@ -260,7 +153,11 @@ func RunExperimentPair(cfg ExperimentConfig) (pol, base *ExperimentResult, err e
 	return runner.RunPair(cfg)
 }
 
-// Streaming controller (the session API).
+// SummarizePerf condenses per-application normalized performance (a
+// run's NormalizedPerf against its baseline) into its mean (Avg), its
+// worst value (Worst) and Jain's fairness index (Jain).
+func SummarizePerf(norm []float64) stats.PerfSummary { return stats.SummarizePerf(norm) }
+
 type (
 	// Platform is the minimal machine surface the controller drives:
 	// profile window, DVFS apply, epoch finish, and power/queue-stat
@@ -275,7 +172,6 @@ type (
 	SessionOption = runner.SessionOption
 )
 
-// Typed errors of the session API.
 var (
 	// ErrInvalidConfig tags configuration rejected up front by
 	// NewSession/RunExperiment; test with errors.Is.
@@ -283,10 +179,6 @@ var (
 	// ErrSessionDone is returned by Session.Step after the last epoch:
 	// normal termination, not failure.
 	ErrSessionDone = runner.ErrDone
-	// ErrConcurrentStep is returned by Session.Step when another Step
-	// (or Result) is already in flight — the typed refusal that replaces
-	// what would otherwise be a data race between two drivers.
-	ErrConcurrentStep = runner.ErrConcurrentStep
 )
 
 // NewSession builds a streaming run: validate the configuration, build
@@ -310,17 +202,11 @@ func WithBudgetTrace(trace func(epoch int) float64) SessionOption {
 // building a simulator from the config.
 func WithPlatform(p Platform) SessionOption { return runner.WithPlatform(p) }
 
-// WithPlatformWrap interposes a wrapper (e.g. NewRecorder) around the
-// session's platform after construction, however it was built.
-func WithPlatformWrap(wrap func(Platform) Platform) SessionOption {
-	return runner.WithPlatformWrap(wrap)
-}
-
-// Trace record/replay (policy dry-runs without the event engine).
+// Trace record/replay: policy dry-runs without the event engine.
 type (
 	// Recording is a captured run: static machine characteristics plus
 	// the per-epoch measurement-window stream; JSON-serializable via
-	// WriteJSON/ReadJSON.
+	// WriteJSON/ReadRecording.
 	Recording = replay.Recording
 	// Recorder is a pass-through Platform capturing everything a live
 	// platform produces.
@@ -341,12 +227,9 @@ func NewReplayPlatform(rec *Recording) (*ReplayPlatform, error) { return replay.
 // ReadRecording deserializes a Recording written with WriteJSON.
 func ReadRecording(r io.Reader) (*Recording, error) { return replay.ReadJSON(r) }
 
-// Serving layer (the fastcapd service): many concurrent sessions,
-// stepped fair round-robin on a bounded scheduler pool, with NDJSON
-// epoch streaming and live budget retargeting over HTTP.
 type (
-	// SessionManager owns concurrent capping sessions — the full
-	// create / scheduled-stepping / retarget / close lifecycle — and
+	// SessionManager is the fastcapd service: it owns concurrent capping
+	// sessions — create, fair round-robin stepping, retarget, close — and
 	// guarantees every session's stream and result are bit-identical
 	// to a solo RunExperiment of the same configuration.
 	SessionManager = serve.Manager
@@ -355,92 +238,40 @@ type (
 	ServeOptions = serve.Options
 	// SessionRequest is the create-session payload (POST /sessions).
 	SessionRequest = serve.Request
-	// SessionMachineRequest is the JSON machine spec of a session
-	// request (named core classes).
-	SessionMachineRequest = serve.MachineRequest
-	// SessionClassRequest is one core class of a machine request.
-	SessionClassRequest = serve.ClassRequest
-	// SessionStatus is one session's externally visible snapshot.
-	SessionStatus = serve.Status
-	// SessionState is the lifecycle state machine position.
-	SessionState = serve.State
 )
 
-// Typed errors of the serving layer; test with errors.Is.
-var (
-	// ErrSessionNotFound reports an unknown or deleted session id.
-	ErrSessionNotFound = serve.ErrNotFound
-	// ErrManagerDraining rejects creates after Shutdown began.
-	ErrManagerDraining = serve.ErrDraining
-	// ErrTooManySessions rejects creates above ServeOptions.MaxSessions.
-	ErrTooManySessions = serve.ErrTooManySessions
-	// ErrSessionRunning guards results/recordings of live sessions.
-	ErrSessionRunning = serve.ErrNotFinished
-	// ErrSessionFinished rejects operations that can no longer take
-	// effect — retargeting the budget of a session that is already
-	// terminal (or stepping its final epoch).
-	ErrSessionFinished = serve.ErrFinished
-	// ErrNoRecording reports a session created without Record.
-	ErrNoRecording = serve.ErrNoRecording
-)
+// ErrSessionNotFound reports an unknown or deleted session id; test
+// with errors.Is.
+var ErrSessionNotFound = serve.ErrNotFound
 
 // NewSessionManager starts a serving-layer manager and its scheduler
 // pool; drain it with Shutdown.
 func NewSessionManager(o ServeOptions) *SessionManager { return serve.NewManager(o) }
 
-// NewServeHandler returns the fastcapd HTTP API over m: POST /sessions,
-// GET /sessions/{id}/stream (NDJSON), POST /sessions/{id}/budget,
-// GET /sessions/{id}/result, GET /sessions/{id}/recording,
-// DELETE /sessions/{id}.
+// NewServeHandler returns the fastcapd HTTP API over m: the session
+// and cluster-group routes listed in the doc comment of
+// internal/serve's NewHandler, which registers them.
 func NewServeHandler(m *SessionManager) http.Handler { return serve.NewHandler(m) }
 
-// Cluster coordination: one global watt budget arbitrated across many
-// sessions at epoch boundaries — the fleet-level layer above Session.
 type (
 	// ClusterCoordinator owns a global power budget and re-partitions
-	// it across member sessions each epoch via a pluggable arbiter,
-	// stepping every member in deterministic lockstep.
+	// it across member sessions at each epoch boundary via a pluggable
+	// arbiter, stepping every member in deterministic lockstep.
 	ClusterCoordinator = cluster.Coordinator
 	// ClusterConfig bounds a coordinator: global budget, arbiter,
 	// member-step worker pool.
 	ClusterConfig = cluster.Config
 	// ClusterMember is one tenant: a Session plus its arbitration
-	// parameters (id, priority weight, guaranteed floor).
+	// parameters (id, priority weight, guaranteed floor, optional BIPS
+	// contract).
 	ClusterMember = cluster.Member
-	// ClusterArbiter re-partitions the global budget each epoch: one
-	// id-keyed Rebalance returning ClusterRoundStats, plus Forget(id).
+	// ClusterArbiter re-partitions the global budget each epoch.
 	ClusterArbiter = cluster.Arbiter
-	// ClusterRoundStats is what one Rebalance round reports about itself
-	// (water-fill passes, prediction error); a custom arbiter with
-	// nothing to report returns the zero value.
-	ClusterRoundStats = cluster.RoundStats
-	// ClusterObservation is one member's epoch-boundary view (peak,
-	// floor, weight, grant, measured power, throttle signal).
-	ClusterObservation = cluster.Observation
-	// ClusterEpochRecord is one cluster epoch: budget in force and
-	// every member's grant/draw/slack line.
-	ClusterEpochRecord = cluster.EpochRecord
-	// ClusterMemberGrant is one member's line of a cluster epoch.
-	ClusterMemberGrant = cluster.MemberGrant
-	// ClusterMemberResult pairs a member id with its finalized run.
-	ClusterMemberResult = cluster.MemberResult
-	// ClusterMemberParams normalizes one member's arbitration
-	// parameters (weight, floor fraction, optional BIPS target).
-	ClusterMemberParams = cluster.MemberParams
-	// ClusterSLOEvent is one throughput-contract transition
-	// (slo_violated / slo_restored) in an epoch record's event list.
-	ClusterSLOEvent = cluster.SLOEvent
 )
 
-// Typed errors of the cluster layer.
-var (
-	// ErrClusterDone is returned by Coordinator.Step once every member
-	// finished: normal termination, not failure.
-	ErrClusterDone = cluster.ErrDone
-	// ErrUnknownClusterMember reports a Detach target that is not a
-	// member.
-	ErrUnknownClusterMember = cluster.ErrUnknownMember
-)
+// ErrClusterDone is returned by ClusterCoordinator.Step once every
+// member finished: normal termination, not failure.
+var ErrClusterDone = cluster.ErrDone
 
 // NewClusterCoordinator validates members and builds the fleet
 // coordinator; Step runs one arbitrated cluster epoch.
@@ -448,60 +279,21 @@ func NewClusterCoordinator(cfg ClusterConfig, members []ClusterMember) (*Cluster
 	return cluster.New(cfg, members)
 }
 
-// NewStaticProportionalArbiter grants fixed shares proportional to each
-// member machine's peak power.
-func NewStaticProportionalArbiter() ClusterArbiter { return cluster.NewStaticProportional() }
-
 // NewSlackReclaimArbiter shifts budget from members leaving watts on
 // the table to members pressed against their cap, with hysteresis.
 func NewSlackReclaimArbiter() ClusterArbiter { return cluster.NewSlackReclaim() }
-
-// NewPriorityWeightedArbiter grants shares proportional to
-// weight × peak.
-func NewPriorityWeightedArbiter() ClusterArbiter { return cluster.NewPriorityWeighted() }
 
 // NewSLOArbiter funds each contracted member's estimated demand for its
 // BIPS target first and water-fills the remainder; infeasible contract
 // sets degrade deterministically in proportion to the targets.
 func NewSLOArbiter() ClusterArbiter { return cluster.NewSLOArbiter() }
 
-// NewPredictiveArbiter pre-allocates each epoch's budget to a
-// per-member forecast of next-epoch draw (EWMA level + trend),
-// clamped to [floor, peak]; until every member's model is warm it
-// behaves exactly like the slack reclaimer.
-func NewPredictiveArbiter() ClusterArbiter { return cluster.NewPredictiveArbiter() }
-
-// ClusterArbiterByName resolves an arbiter registry name ("static",
-// "slack", "priority", "slo", "predictive") to a fresh arbiter
-// instance.
-func ClusterArbiterByName(name string) (ClusterArbiter, bool) { return cluster.ArbiterByName(name) }
-
-// ClusterArbiterNames lists the arbiter registry in resolution order —
-// the same table ClusterArbiterByName and the serving layer accept.
-func ClusterArbiterNames() []string { return cluster.ArbiterNames() }
-
-// Serving-layer cluster groups (POST /clusters on fastcapd).
-type (
-	// ClusterRequest is the create-group payload: global budget,
-	// arbiter, members.
-	ClusterRequest = serve.ClusterRequest
-	// ClusterMemberRequest is one member of a group create or attach.
-	ClusterMemberRequest = serve.ClusterMemberRequest
-	// ClusterStatus is a group's externally visible snapshot.
-	ClusterStatus = serve.ClusterStatus
-	// ClusterMemberStatus describes one group member statically.
-	ClusterMemberStatus = serve.ClusterMemberStatus
-)
-
-// Distributed coordination (fastcapd's /dist surface): the cluster
-// coordinator split from its members, arbitrating one watt budget over
-// the network with epoch barriers, straggler eviction and journaled
-// crash recovery. See internal/dist.
 type (
 	// DistConfig bounds a distributed coordinator (budget, quorum,
 	// straggler deadline, epoch cap).
 	DistConfig = dist.Config
-	// DistCoordinator runs the epoch-barrier protocol over a Transport.
+	// DistCoordinator arbitrates one watt budget over the network
+	// (fastcapd's /dist surface): epoch barriers, straggler eviction.
 	DistCoordinator = dist.Coordinator
 	// DistAgentConfig wires an agent daemon: members, session builder,
 	// send path, clock, journal, announce backoff.
@@ -511,11 +303,11 @@ type (
 	// DistMemberSpec declares one hosted member (id, weight, floor,
 	// session spec).
 	DistMemberSpec = dist.MemberSpec
-	// DistMsg is one coordinator↔agent wire frame.
-	DistMsg = dist.Msg
-	// DistEvent is one typed membership-pressure event (join, readmit,
-	// evict, detach, abandon).
-	DistEvent = dist.Event
+	// DistBuildFunc constructs a member session from its JSON spec.
+	DistBuildFunc = dist.BuildFunc
+	// DistMemJournal is the in-memory journal store an agent replays
+	// after a restart.
+	DistMemJournal = dist.MemJournal
 	// DistSimConfig seeds the deterministic in-memory transport and its
 	// fault schedule.
 	DistSimConfig = dist.SimConfig
@@ -527,16 +319,6 @@ type (
 	DistRestart = dist.Restart
 	// DistSimNet is the simulated transport the chaos suite runs on.
 	DistSimNet = dist.SimNet
-	// DistBuildFunc constructs a member session from its JSON spec.
-	DistBuildFunc = dist.BuildFunc
-	// DistJournalStore persists an agent's grant history for restart
-	// recovery.
-	DistJournalStore = dist.JournalStore
-	// DistMemJournal is the in-memory journal store (tests, examples).
-	DistMemJournal = dist.MemJournal
-	// DistFileJournal is the file-backed journal store fastcapd's
-	// -agent-journal flag uses.
-	DistFileJournal = dist.FileJournal
 )
 
 // DistSessionBuilder returns the session builder distributed agents
@@ -556,11 +338,11 @@ func NewDistAgent(cfg DistAgentConfig) (*DistAgent, error) { return dist.NewAgen
 // coordinator and agents deterministically, faults included.
 func NewDistSimNet(cfg DistSimConfig) *DistSimNet { return dist.NewSimNet(cfg) }
 
-// Figure-level harness (paper §IV).
 type (
 	// LabOptions control experiment fidelity.
 	LabOptions = experiments.Options
-	// Lab caches baselines and reproduces each figure.
+	// Lab caches baselines and reproduces each figure of the paper's
+	// §IV.
 	Lab = experiments.Lab
 )
 

@@ -7,42 +7,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"repro/internal/stats"
 )
-
-// The facade integration test: exercise the public API end to end the
-// way the README quick start does.
-func TestPublicAPIQuickstart(t *testing.T) {
-	mix, err := WorkloadByName("MIX3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ExperimentConfig{
-		Sim:        DefaultSystemConfig(8),
-		Mix:        mix,
-		BudgetFrac: 0.60,
-		Epochs:     8,
-		Policy:     NewFastCapPolicy(),
-	}
-	cfg.Sim.EpochNs = 1e6
-	cfg.Sim.ProfileNs = 1e5
-	res, base, err := RunExperimentPair(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgPowerW() > res.BudgetW*1.05 {
-		t.Errorf("average power %g W above budget %g W", res.AvgPowerW(), res.BudgetW)
-	}
-	norm, err := res.NormalizedPerf(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := stats.SummarizePerf(norm)
-	if s.Worst > s.Avg*1.3 {
-		t.Errorf("fairness gap: worst %g vs avg %g", s.Worst, s.Avg)
-	}
-}
 
 func TestPublicAPILadders(t *testing.T) {
 	core, mem := DefaultCoreLadder(), DefaultMemLadder()
@@ -72,28 +37,6 @@ func TestPublicAPIWorkloads(t *testing.T) {
 	}
 	if _, err := WorkloadByName("bogus"); err == nil {
 		t.Error("bogus workload accepted")
-	}
-}
-
-func TestPublicAPIAllPolicyConstructors(t *testing.T) {
-	pols := []Policy{
-		NewFastCapPolicy(),
-		NewCPUOnlyPolicy(),
-		NewFreqParPolicy(),
-		NewEqlPwrPolicy(),
-		NewEqlFreqPolicy(),
-		NewMaxBIPSPolicy(),
-		NewGreedyPolicy(),
-	}
-	names := map[string]bool{}
-	for _, p := range pols {
-		if p == nil || p.Name() == "" {
-			t.Fatalf("bad policy %v", p)
-		}
-		if names[p.Name()] {
-			t.Errorf("duplicate policy name %q", p.Name())
-		}
-		names[p.Name()] = true
 	}
 }
 

@@ -14,7 +14,7 @@
 // the experiment engine and the serving layer, extended one level up.
 //
 // The serving layer exposes Coordinators as cluster groups (POST
-// /clusters); experiments.ClusterSweep compares the arbiters.
+// /clusters); experiments.Lab.FleetSweep compares the arbiters.
 package cluster
 
 import (
