@@ -1,9 +1,11 @@
-// Repository-level benchmarks: one per table and figure of the FastCap
-// paper's evaluation (§IV), plus the algorithm-overhead measurements.
-// Each figure bench runs its experiment end-to-end at reduced fidelity
-// (fewer cores/epochs than cmd/fastcap-tables) so the whole suite
-// completes in minutes; cmd/fastcap-tables regenerates the full-size
-// outputs recorded in EXPERIMENTS.md.
+// Repository-level benchmarks for the tables and figures of the FastCap
+// paper's evaluation (§IV) that ./benchmark does not time. The
+// algorithm-overhead and arbitration costs are its policy.decide_us,
+// workload.instantiate_us and cluster.rebalance_ns rows. Each figure
+// bench runs its experiment end-to-end at reduced fidelity (fewer
+// cores/epochs than cmd/fastcap-tables) so the whole suite completes in
+// minutes; cmd/fastcap-tables regenerates the full-size outputs
+// recorded in EXPERIMENTS.md.
 package fastcap
 
 import (
@@ -33,11 +35,6 @@ func benchLab() *experiments.Lab {
 
 // --- Table I: complexity comparison -----------------------------------
 
-func BenchmarkTable1_FastCap16(b *testing.B)   { benchPolicyDecision(b, 16, policy.NewFastCap()) }
-func BenchmarkTable1_FastCap64(b *testing.B)   { benchPolicyDecision(b, 64, policy.NewFastCap()) }
-func BenchmarkTable1_FastCap256(b *testing.B)  { benchPolicyDecision(b, 256, policy.NewFastCap()) }
-func BenchmarkTable1_EqlFreq64(b *testing.B)   { benchPolicyDecision(b, 64, policy.NewEqlFreq()) }
-func BenchmarkTable1_EqlPwr64(b *testing.B)    { benchPolicyDecision(b, 64, policy.NewEqlPwr()) }
 func BenchmarkTable1_Exhaustive2(b *testing.B) { benchPolicyDecision(b, 2, policy.NewMaxBIPS()) }
 func BenchmarkTable1_Exhaustive4(b *testing.B) { benchPolicyDecision(b, 4, policy.NewMaxBIPS()) }
 
@@ -52,28 +49,7 @@ func benchPolicyDecision(b *testing.B, n int, pol policy.Policy) {
 	}
 }
 
-// --- §IV-B algorithm overhead: 33.5/64.9/133.5 µs at 16/32/64 cores ---
-
-func BenchmarkAlgorithmOverhead16(b *testing.B) { benchPolicyDecision(b, 16, policy.NewFastCap()) }
-func BenchmarkAlgorithmOverhead32(b *testing.B) { benchPolicyDecision(b, 32, policy.NewFastCap()) }
-func BenchmarkAlgorithmOverhead64(b *testing.B) { benchPolicyDecision(b, 64, policy.NewFastCap()) }
-
-// --- Tables II & III: configuration and workload construction ---------
-
-func BenchmarkTable2_SystemConstruction(b *testing.B) {
-	mix, err := workload.MixByName("MIX1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		wl, err := workload.Instantiate(mix, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = wl
-	}
-}
+// --- Table III: workload construction ---------------------------------
 
 func BenchmarkTable3_WorkloadInstantiation(b *testing.B) {
 	b.ReportAllocs()
@@ -197,20 +173,13 @@ func BenchmarkEpochLengthStudy(b *testing.B) {
 
 // --- Ablations: design choices called out in DESIGN.md ----------------
 
-// Binary search vs exhaustive scan over the M memory frequencies.
-func BenchmarkAblation_BinarySearch(b *testing.B) {
-	benchPolicyDecision(b, 64, policy.NewFastCap())
-}
-
+// Exhaustive scan over the M memory frequencies; the binary search it
+// ablates is policy.decide_us.n64.
 func BenchmarkAblation_ExhaustiveSb(b *testing.B) {
 	benchPolicyDecision(b, 64, &policy.FastCap{Guard: true, Exhaustive: true})
 }
 
-// Quantization guard on vs off.
-func BenchmarkAblation_GuardOn(b *testing.B) {
-	benchPolicyDecision(b, 64, &policy.FastCap{Guard: true})
-}
-
+// Quantization guard off; the guarded decision is policy.decide_us.n64.
 func BenchmarkAblation_GuardOff(b *testing.B) {
 	benchPolicyDecision(b, 64, &policy.FastCap{Guard: false})
 }
@@ -281,38 +250,7 @@ func BenchmarkSessionEpoch(b *testing.B) {
 	}
 }
 
-// --- Cluster arbitration: per-epoch coordinator overhead --------------
-
-// benchClusterArbitration measures one epoch-boundary rebalance over n
-// members — the cluster coordinator's own work, excluding the member
-// simulations it schedules. Target: O(members) arithmetic, zero
-// steady-state allocations (the scratch is pre-grown by the warm-up
-// call), so arbitration cost stays invisible next to even one member's
-// epoch.
-func benchClusterArbitration(b *testing.B, arb cluster.Arbiter, n int) {
-	obs := make([]cluster.Observation, n)
-	for i := range obs {
-		obs[i] = cluster.Observation{
-			PeakW:  120,
-			FloorW: 12,
-			Weight: 1 + float64(i%3),
-			GrantW: 60 + float64(i%17),
-			PowerW: 50 + float64(i%23),
-			Warm:   true,
-			// A mixed fleet: every other member pressed against its cap.
-			ThrottleFrac: float64(i%2) * 0.5,
-		}
-	}
-	ids := benchMemberIDs(n)
-	grants := make([]float64, n)
-	budget := 80.0 * float64(n)
-	arb.Rebalance(budget, ids, obs, grants) // warm the scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arb.Rebalance(budget, ids, obs, grants)
-	}
-}
+// --- Instrumented arbitration: the observability tax ------------------
 
 // benchMemberIDs names n members the way the arbitration benches key
 // them.
@@ -322,20 +260,6 @@ func benchMemberIDs(n int) []string {
 		ids[i] = fmt.Sprintf("m%02d", i)
 	}
 	return ids
-}
-
-func BenchmarkClusterArbitration8(b *testing.B) {
-	for _, name := range []string{"static", "slack", "priority"} {
-		arb, _ := cluster.ArbiterByName(name)
-		b.Run(name, func(b *testing.B) { benchClusterArbitration(b, arb, 8) })
-	}
-}
-
-func BenchmarkClusterArbitration64(b *testing.B) {
-	for _, name := range []string{"static", "slack", "priority"} {
-		arb, _ := cluster.ArbiterByName(name)
-		b.Run(name, func(b *testing.B) { benchClusterArbitration(b, arb, 64) })
-	}
 }
 
 // sloObs builds a fleet with every fourth member holding a throughput
@@ -362,53 +286,6 @@ func sloObs(n int) []cluster.Observation {
 	}
 	return obs
 }
-
-// benchSLOArbitration is benchClusterArbitration for the SLO arbiter on
-// a contracted mix; flat (not sub-benchmarked) so the bench.sh snapshot
-// schema can anchor on the name.
-func benchSLOArbitration(b *testing.B, n int) {
-	arb := cluster.NewSLOArbiter()
-	obs := sloObs(n)
-	ids := benchMemberIDs(n)
-	grants := make([]float64, n)
-	budget := 80.0 * float64(n)
-	arb.Rebalance(budget, ids, obs, grants) // warm the scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arb.Rebalance(budget, ids, obs, grants)
-	}
-}
-
-func BenchmarkSLOArbitration8(b *testing.B)  { benchSLOArbitration(b, 8) }
-func BenchmarkSLOArbitration64(b *testing.B) { benchSLOArbitration(b, 64) }
-
-// benchPredictiveArbitration measures the forecasting arbiter on its
-// only path — history keyed by member id, so the per-member predictor
-// map lookup is part of the cost. The warm-up loop runs the model past
-// WarmEpochs so the steady state measured is the forecast-driven
-// pre-allocation, not the reactive fallback. Flat names so the bench.sh
-// snapshot schema can anchor on them.
-func benchPredictiveArbitration(b *testing.B, n int) {
-	arb := cluster.NewPredictiveArbiter()
-	obs := sloObs(n)
-	ids := benchMemberIDs(n)
-	grants := make([]float64, n)
-	budget := 80.0 * float64(n)
-	for i := 0; i < arb.WarmEpochs+1; i++ { // warm scratch and model
-		arb.Rebalance(budget, ids, obs, grants)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arb.Rebalance(budget, ids, obs, grants)
-	}
-}
-
-func BenchmarkPredictiveArbitration8(b *testing.B)  { benchPredictiveArbitration(b, 8) }
-func BenchmarkPredictiveArbitration64(b *testing.B) { benchPredictiveArbitration(b, 64) }
-
-// --- Instrumented arbitration: the observability tax ------------------
 
 // benchClusterMetrics builds the full per-cluster handle set a serving
 // coordinator records into, on a throwaway registry.
@@ -457,9 +334,10 @@ func instrumentedRebalance(arb cluster.Arbiter, met cluster.Metrics, budget floa
 	met.Members.Set(float64(len(obs)))
 }
 
-// BenchmarkClusterArbitrationInstrumented is BenchmarkClusterArbitration64
-// with the metrics recorded; the delta between the two is the whole
-// observability tax on the arbitration hot path. The handles are
+// BenchmarkClusterArbitrationInstrumented is one rebalance over 64
+// members with the metrics recorded; its delta over the benchmark's
+// cluster.rebalance_ns.<arbiter>.n64 rows is the whole observability
+// tax on the arbitration hot path. The handles are
 // pre-resolved atomics and the round's stats come back by value, so the
 // contract is zero additional allocations — enforced by
 // TestInstrumentedArbitrationZeroAlloc, not just eyeballed.
@@ -508,9 +386,10 @@ func TestInstrumentedArbitrationZeroAlloc(t *testing.T) {
 // over the deterministic in-memory transport and reports ns/epoch for
 // the full remote barrier: grant push, an encode/decode wire
 // round-trip per frame, each member's simulated control epoch, and the
-// report barrier. Compare against BenchmarkClusterArbitration8 (the
-// arbitration math alone) and BenchmarkSessionEpoch (one member's
-// epoch) to see what the distribution layer itself costs.
+// report barrier. Compare against the benchmark's
+// cluster.rebalance_ns.<arbiter>.n8 rows (the arbitration math alone)
+// and BenchmarkSessionEpoch (one member's epoch) to see what the
+// distribution layer itself costs.
 func BenchmarkRemoteEpoch(b *testing.B) {
 	const (
 		members = 8

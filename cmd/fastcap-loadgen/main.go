@@ -10,8 +10,7 @@
 // cluster-group API (two members per group). Closed loop means a worker
 // never has more than one lifecycle in flight, so -sessions IS the
 // daemon's resident-tenant load, making sessions/sec at a given
-// concurrency directly comparable across commits — that is the capacity
-// row scripts/bench.sh records.
+// concurrency directly comparable across commits.
 //
 //	fastcap-loadgen -base http://127.0.0.1:8080 -sessions 16 -lifecycles 4
 //

@@ -109,10 +109,7 @@ func run(mixName, polName string, budget float64, cores, epochs int, epochMs flo
 	}
 	sc := sim.DefaultConfig(cores)
 	sc.EpochNs = epochMs * 1e6
-	sc.ProfileNs = sc.EpochNs / 10
-	if sc.ProfileNs > 3e5 {
-		sc.ProfileNs = 3e5 // paper's 300 µs profiling phase
-	}
+	sc.ProfileNs = sim.ProfileWindowNs(sc.EpochNs)
 	sc.OoO = ooo
 	sc.Seed = seed
 	if ctls > 1 {

@@ -308,10 +308,6 @@ func New(cfg Config, members []Member) (*Coordinator, error) {
 	return c, nil
 }
 
-// Epoch returns the number of cluster epochs completed — the index the
-// next Step would execute. Safe to call concurrently with Step.
-func (c *Coordinator) Epoch() int { return int(c.epoch.Load()) }
-
 // TotalEpochs returns how many cluster epochs the current membership
 // runs for — the latest-finishing live member's horizon. Attaching
 // extends it; detaches and early finishes shrink it at the next

@@ -484,16 +484,10 @@ func (s *Solver) Solve(in *Inputs) (Result, error) {
 	return s.finish(in, best, bestIdx, evals), nil
 }
 
-// SolveExhaustive scans all M candidates. It is the reference the binary
-// search is validated against and the building block for the CPU-only
-// policy (single candidate) and for policies that must probe every
-// memory frequency.
-func (in *Inputs) SolveExhaustive() (Result, error) {
-	var s Solver
-	return s.SolveExhaustive(in)
-}
-
-// SolveExhaustive scans all candidates using the solver's scratch.
+// SolveExhaustive scans all M candidates using the solver's scratch. It
+// is the reference the binary search is validated against and the
+// building block for the CPU-only policy (single candidate) and for
+// policies that must probe every memory frequency.
 func (s *Solver) SolveExhaustive(in *Inputs) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
@@ -540,21 +534,6 @@ type Assignment struct {
 	// PredictedPower re-evaluates the power models at the quantized
 	// frequencies.
 	PredictedPower float64
-}
-
-// Quantize maps a continuous Result onto the DVFS ladders, rounding each
-// normalized frequency to the nearest step (paper §III-B: "the closest
-// to z_i/z̄_i after normalization").
-//
-// When guard is true and nearest-step rounding lands the predicted power
-// above the budget, cores are stepped down one ladder notch at a time —
-// always the core currently closest to its best-case performance, which
-// preserves FastCap's fairness ordering — until the model predicts the
-// budget is met (memory is stepped down only after every core reaches
-// its floor).
-func (in *Inputs) Quantize(res Result, coreL, memL *dvfs.Ladder, guard bool) Assignment {
-	var s Solver
-	return s.Quantize(in, res, coreL, memL, guard)
 }
 
 // guardEntry is one max-heap node of the quantization guard: a core and
@@ -613,8 +592,19 @@ func (s *Solver) guardPop() guardEntry {
 	return top
 }
 
-// Quantize is QuantizePerCore for a machine whose cores all share the
-// ladder coreL: N equal ladders through the one per-core computation.
+// Quantize maps a continuous Result onto the DVFS ladders, rounding each
+// normalized frequency to the nearest step (paper §III-B: "the closest
+// to z_i/z̄_i after normalization").
+//
+// When guard is true and nearest-step rounding lands the predicted power
+// above the budget, cores are stepped down one ladder notch at a time —
+// always the core currently closest to its best-case performance, which
+// preserves FastCap's fairness ordering — until the model predicts the
+// budget is met (memory is stepped down only after every core reaches
+// its floor).
+//
+// It is QuantizePerCore for a machine whose cores all share the ladder
+// coreL: N equal ladders through the one per-core computation.
 func (s *Solver) Quantize(in *Inputs, res Result, coreL, memL *dvfs.Ladder, guard bool) Assignment {
 	n := len(res.Z)
 	if cap(s.lads) < n {

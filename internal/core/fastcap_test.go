@@ -245,7 +245,7 @@ func TestBinaryMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exh, err := in.SolveExhaustive()
+		exh, err := new(Solver).SolveExhaustive(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestBinarySearchIsLogM(t *testing.T) {
 	if res.Evals > maxEvals {
 		t.Errorf("binary search used %d evals for M=%d, want ≤ %d", res.Evals, m, maxEvals)
 	}
-	exh, _ := in.SolveExhaustive()
+	exh, _ := new(Solver).SolveExhaustive(in)
 	if exh.Evals != m {
 		t.Errorf("exhaustive evals = %d, want %d", exh.Evals, m)
 	}
@@ -356,7 +356,7 @@ func TestQuantizeNearest(t *testing.T) {
 		t.Fatal(err)
 	}
 	coreL, memL := dvfs.DefaultCoreLadder(), dvfs.DefaultMemLadder()
-	a := in.Quantize(res, coreL, memL, false)
+	a := new(Solver).Quantize(in, res, coreL, memL, false)
 	if len(a.CoreSteps) != 8 {
 		t.Fatalf("got %d steps", len(a.CoreSteps))
 	}
@@ -387,7 +387,7 @@ func TestQuantizeGuardEnforcesBudget(t *testing.T) {
 		if !res.Feasible {
 			continue
 		}
-		a := in.Quantize(res, coreL, memL, true)
+		a := new(Solver).Quantize(in, res, coreL, memL, true)
 		if a.PredictedPower > in.Budget+1e-9 {
 			t.Errorf("budget %.0f%%: guarded quantization predicts %g W > budget %g W",
 				frac*100, a.PredictedPower, in.Budget)
@@ -402,7 +402,7 @@ func TestQuantizeGuardFloorsOut(t *testing.T) {
 	in.Budget = 1 // 1 W: impossible
 	res, _ := in.Solve()
 	coreL, memL := dvfs.DefaultCoreLadder(), dvfs.DefaultMemLadder()
-	a := in.Quantize(res, coreL, memL, true)
+	a := new(Solver).Quantize(in, res, coreL, memL, true)
 	for i, s := range a.CoreSteps {
 		if s != 0 {
 			t.Errorf("core %d step = %d, want 0 at impossible budget", i, s)
@@ -459,7 +459,7 @@ func TestSolveProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		exh, err := in.SolveExhaustive()
+		exh, err := new(Solver).SolveExhaustive(in)
 		if err != nil {
 			return false
 		}

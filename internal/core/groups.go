@@ -51,7 +51,8 @@ func (in *GroupedInputs) Validate() error {
 	return validateGroups(in.Groups, len(in.ZBar))
 }
 
-// Solve runs Algorithm 1 under the additional per-group constraints.
+// SolveGrouped runs Algorithm 1 under the additional per-group
+// constraints, using the solver's scratch.
 //
 // For a fixed s_b every constraint's left-hand side is monotone
 // nondecreasing in D (larger D → faster cores → more power), so the
@@ -59,12 +60,6 @@ func (in *GroupedInputs) Validate() error {
 // solves its own budget equality; the group solves run the same
 // root-find as the global one over the group's cores, keeping the
 // per-candidate cost O((G+1)·N) and the whole algorithm O((G+1)·N·M).
-func (in *GroupedInputs) Solve() (Result, error) {
-	var s Solver
-	return s.SolveGrouped(in)
-}
-
-// SolveGrouped is GroupedInputs.Solve using the solver's scratch.
 func (s *Solver) SolveGrouped(in *GroupedInputs) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err

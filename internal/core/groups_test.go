@@ -43,7 +43,7 @@ func TestGroupedValidate(t *testing.T) {
 
 func TestGroupedNoGroupsMatchesUngrouped(t *testing.T) {
 	gi := groupedInputs(16, 0.6)
-	grouped, err := gi.Solve()
+	grouped, err := new(Solver).SolveGrouped(gi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestGroupedSlackGroupsDontBind(t *testing.T) {
 		{Cores: []int{0, 1, 2, 3}, Budget: 1e6},
 		{Cores: []int{4, 5, 6, 7}, Budget: 1e6},
 	}
-	grouped, err := gi.Solve()
+	grouped, err := new(Solver).SolveGrouped(gi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestGroupedTightGroupBinds(t *testing.T) {
 	gi := groupedInputs(8, 0.8)
 	tight := 8.0 // watts for 4 cores that would like ~4.5 W each
 	gi.Groups = []BudgetGroup{{Cores: []int{0, 1, 2, 3}, Budget: tight}}
-	grouped, err := gi.Solve()
+	grouped, err := new(Solver).SolveGrouped(gi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestGroupedTightGroupBinds(t *testing.T) {
 func TestGroupedInfeasibleGroup(t *testing.T) {
 	gi := groupedInputs(8, 0.8)
 	gi.Groups = []BudgetGroup{{Cores: []int{0, 1}, Budget: 0.1}} // below static
-	res, err := gi.Solve()
+	res, err := new(Solver).SolveGrouped(gi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestGroupedFairnessPreserved(t *testing.T) {
 	// outside the tight group must not run ahead of the common ratio.
 	gi := groupedInputs(8, 0.8)
 	gi.Groups = []BudgetGroup{{Cores: []int{0, 1, 2, 3}, Budget: 9}}
-	res, err := gi.Solve()
+	res, err := new(Solver).SolveGrouped(gi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestGroupedFairnessPreserved(t *testing.T) {
 func TestGroupedQuantize(t *testing.T) {
 	gi := groupedInputs(8, 0.7)
 	gi.Groups = []BudgetGroup{{Cores: []int{0, 1, 2, 3}, Budget: 10}}
-	res, err := gi.Solve()
+	res, err := new(Solver).SolveGrouped(gi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := gi.Quantize(res, dvfs.DefaultCoreLadder(), dvfs.DefaultMemLadder(), true)
+	a := new(Solver).Quantize(&gi.Inputs, res, dvfs.DefaultCoreLadder(), dvfs.DefaultMemLadder(), true)
 	if len(a.CoreSteps) != 8 {
 		t.Fatalf("steps: %v", a.CoreSteps)
 	}

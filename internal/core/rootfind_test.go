@@ -197,7 +197,7 @@ func TestSolveMatchesBisectionOracle(t *testing.T) {
 	for k := 0; k < 1500; k++ {
 		in := randomInputs(rng)
 		ref, refIdx := refSolve(in, nil)
-		exh, err := in.SolveExhaustive()
+		exh, err := new(Solver).SolveExhaustive(in)
 		if err != nil {
 			t.Fatalf("case %d: %v", k, err)
 		}
@@ -272,7 +272,7 @@ func TestSolveMatchesNumericOnRandomInputs(t *testing.T) {
 	}
 	rows = append(rows, mixed)
 	for k, in := range rows {
-		alg, err := in.SolveExhaustive()
+		alg, err := new(Solver).SolveExhaustive(in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 		if epoch%13 == 5 {
 			// Exhaustive scans must hand a valid hint to later Solves.
 			got, err = warm.SolveExhaustive(in)
-			wantExh, exhErr := in.SolveExhaustive()
+			wantExh, exhErr := new(Solver).SolveExhaustive(in)
 			if exhErr != nil {
 				t.Fatal(exhErr)
 			}

@@ -290,9 +290,6 @@ func (c *Core) SetPhase(mult float64) {
 // Counters returns a snapshot of the monotone counters.
 func (c *Core) Counters() Counters { return c.ctr }
 
-// MaxOutstanding exposes the current outstanding-miss bound (tests).
-func (c *Core) MaxOutstanding() int { return c.maxOut }
-
 // scheduleBurst draws the next compute burst and arms the burst timer
 // for its retirement. The core has at most one burst in flight, so a
 // single reusable timer (plus the pending instruction count) replaces a

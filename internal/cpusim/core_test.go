@@ -102,8 +102,8 @@ func TestInOrderExecutesAndMisses(t *testing.T) {
 	if total > 5.05e6 || total < 4.5e6 {
 		t.Errorf("busy+stall = %g ns over a 5e6 ns window", total)
 	}
-	if c.MaxOutstanding() != 1 {
-		t.Errorf("in-order MaxOutstanding = %d", c.MaxOutstanding())
+	if c.maxOut != 1 {
+		t.Errorf("in-order maxOut = %d", c.maxOut)
 	}
 }
 
@@ -170,8 +170,8 @@ func TestOoOAllowsMultipleOutstanding(t *testing.T) {
 	// 50 MPKI → 20 instructions per miss → window of 128 allows 6
 	// outstanding misses.
 	eng, ctl, c := newRig(t, 50, true)
-	if got := c.MaxOutstanding(); got != 6 {
-		t.Fatalf("MaxOutstanding = %d, want 6", got)
+	if got := c.maxOut; got != 6 {
+		t.Fatalf("maxOut = %d, want 6", got)
 	}
 	c.Start()
 	maxSeen := 0
@@ -205,8 +205,8 @@ func TestOoOFasterThanInOrderWhenMemoryBound(t *testing.T) {
 func TestOoOCPUBoundDegeneratesToInOrder(t *testing.T) {
 	// 1 MPKI → 1000 instr/miss ≫ window → maxOut = 1.
 	_, _, c := newRig(t, 1, true)
-	if got := c.MaxOutstanding(); got != 1 {
-		t.Errorf("MaxOutstanding = %d, want 1 for sparse misses", got)
+	if got := c.maxOut; got != 1 {
+		t.Errorf("maxOut = %d, want 1 for sparse misses", got)
 	}
 }
 

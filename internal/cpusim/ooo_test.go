@@ -54,15 +54,15 @@ func TestOoOStallAccounting(t *testing.T) {
 
 func TestOoOWindowRecomputedOnPhase(t *testing.T) {
 	_, _, c := newRig(t, 50, true) // IPA 20 → maxOut 6
-	if c.MaxOutstanding() != 6 {
-		t.Fatalf("initial maxOut = %d", c.MaxOutstanding())
+	if c.maxOut != 6 {
+		t.Fatalf("initial maxOut = %d", c.maxOut)
 	}
 	c.SetPhase(0.25) // IPA 80 → maxOut 1
-	if got := c.MaxOutstanding(); got != 1 {
+	if got := c.maxOut; got != 1 {
 		t.Errorf("after phase 0.25: maxOut = %d, want 1", got)
 	}
 	c.SetPhase(4.0) // IPA 5 → maxOut 25
-	if got := c.MaxOutstanding(); got != 25 {
+	if got := c.maxOut; got != 25 {
 		t.Errorf("after phase 4: maxOut = %d, want 25", got)
 	}
 }

@@ -246,13 +246,6 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("DELETE /dist/clusters/{id}", s.del)
 }
 
-// Handler returns a standalone handler for the server's routes.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.Register(mux)
-	return mux
-}
-
 // Close shuts every resident cluster's transport down.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -570,13 +563,6 @@ func (h *AgentHost) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /dist/agents", h.list)
 	mux.HandleFunc("GET /dist/agents/{id}", h.status)
 	mux.HandleFunc("DELETE /dist/agents/{id}", h.del)
-}
-
-// Handler returns a standalone handler for the host's routes.
-func (h *AgentHost) Handler() http.Handler {
-	mux := http.NewServeMux()
-	h.Register(mux)
-	return mux
 }
 
 // Close stops every resident agent's goroutines (without detaching —

@@ -387,13 +387,6 @@ func do(t *testing.T, method, url string) *http.Response {
 // cluster DELETE makes its routes 404.
 func TestDistHTTPControlPlane(t *testing.T) {
 	ts, _, _ := newDistServer(t, "")
-	// Standalone handlers serve the same routes as the shared mux.
-	coordOnly := httptest.NewServer(NewServer().Handler())
-	defer coordOnly.Close()
-	wantStatus(t, do(t, http.MethodGet, coordOnly.URL+"/dist/clusters"), http.StatusOK)
-	agentsOnly := httptest.NewServer(NewAgentHost(serve.SessionFromSpec, "").Handler())
-	defer agentsOnly.Close()
-	wantStatus(t, do(t, http.MethodGet, agentsOnly.URL+"/dist/agents"), http.StatusOK)
 
 	// Two expected members, only one ever announced: the cluster idles in
 	// its gather phase while the control plane is exercised.

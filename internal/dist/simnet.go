@@ -135,15 +135,6 @@ func (s *SimNet) Register(name string, handle func(Msg), rebuild func()) {
 	a.rebuild = rebuild
 }
 
-// Kill crashes an agent: its handler is detached and all in-flight
-// messages and timers of the old incarnation are torn down.
-func (s *SimNet) Kill(name string) {
-	if a := s.agents[name]; a != nil {
-		a.gen++
-		a.handle = nil
-	}
-}
-
 // schedule queues fn at absolute virtual time at.
 func (s *SimNet) schedule(at int64, fn func()) {
 	s.seq++
@@ -338,18 +329,3 @@ func (s *SimNet) Recv(deadline int64) (Envelope, bool, error) {
 
 // Close implements Transport.
 func (s *SimNet) Close() {}
-
-// Drain pumps all remaining events (agent timers, stray deliveries)
-// until the heap is empty or limitNs of virtual time passes. Tests use
-// it to flush backoff retries after the coordinator has finished.
-func (s *SimNet) Drain(limitNs int64) {
-	limit := s.now + limitNs
-	for s.events.Len() > 0 && s.events.peek().at <= limit {
-		ev := heap.Pop(&s.events).(simEvent)
-		if ev.at > s.now {
-			s.now = ev.at
-		}
-		ev.fire()
-	}
-	s.inbox = nil
-}

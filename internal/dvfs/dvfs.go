@@ -203,21 +203,6 @@ func (l *Ladder) NearestNorm(norm float64) int {
 	return l.Nearest(norm * l.Max())
 }
 
-// FloorNorm returns the highest step whose normalized frequency does not
-// exceed norm, or step 0 if none does. Used by budget-conservative
-// quantization.
-func (l *Ladder) FloorNorm(norm float64) int {
-	target := norm * l.Max()
-	// Allow a hair of slack so that exact ladder values round to themselves
-	// despite floating-point noise.
-	const eps = 1e-9
-	i := sort.SearchFloat64s(l.freqs, target+eps) - 1
-	if i < 0 {
-		return 0
-	}
-	return i
-}
-
 // VoltAtFreq linearly interpolates the ladder's voltage at an arbitrary
 // frequency f (GHz), clamping outside the range. It reflects the paper's
 // assumption that voltage scales proportionally with frequency between
@@ -235,23 +220,6 @@ func (l *Ladder) VoltAtFreq(f float64) float64 {
 	v0, v1 := l.volts[i-1], l.volts[i]
 	t := (f - f0) / (f1 - f0)
 	return v0 + t*(v1-v0)
-}
-
-// ScaleTime converts a minimum time tMin (achieved at the ladder maximum)
-// to the dilated time at step i: tMin · Max/Freq(i). This implements the
-// paper's z_i = z̄_i · (f_max/f_i) relation for think times and bus
-// transfer times alike.
-func (l *Ladder) ScaleTime(tMin float64, i int) float64 {
-	return tMin * l.Max() / l.freqs[i]
-}
-
-// StepForTime inverts ScaleTime: it returns the ladder step whose dilation
-// of tMin is closest to t. t below tMin clamps to the top step.
-func (l *Ladder) StepForTime(tMin, t float64) int {
-	if t <= 0 || tMin <= 0 {
-		return l.MaxStep()
-	}
-	return l.NearestNorm(tMin / t)
 }
 
 // Validate sanity-checks ladder invariants; it is used by property tests

@@ -129,28 +129,6 @@ func TestNearestNormRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFloorNorm(t *testing.T) {
-	l := DefaultCoreLadder()
-	// Exactly on a step stays on that step.
-	for i := 0; i < l.Len(); i++ {
-		if got := l.FloorNorm(l.NormFreq(i)); got != i {
-			t.Errorf("FloorNorm(NormFreq(%d)) = %d, want %d", i, got, i)
-		}
-	}
-	// Slightly above a step floors back down to it.
-	if got := l.FloorNorm((2.3) / 4.0); got != 0 {
-		t.Errorf("FloorNorm(2.3GHz norm) = %d, want 0", got)
-	}
-	// Below the bottom clamps to 0.
-	if got := l.FloorNorm(0.01); got != 0 {
-		t.Errorf("FloorNorm(0.01) = %d, want 0", got)
-	}
-	// Above the top clamps to the top.
-	if got := l.FloorNorm(2.0); got != l.MaxStep() {
-		t.Errorf("FloorNorm(2.0) = %d, want %d", got, l.MaxStep())
-	}
-}
-
 func TestVoltAtFreq(t *testing.T) {
 	l := DefaultCoreLadder()
 	if got := l.VoltAtFreq(2.2); math.Abs(got-0.65) > 1e-12 {
@@ -178,37 +156,6 @@ func TestVoltAtFreq(t *testing.T) {
 			t.Fatalf("VoltAtFreq not monotone at f=%g", f)
 		}
 		prev = v
-	}
-}
-
-func TestScaleTime(t *testing.T) {
-	l := DefaultCoreLadder()
-	// At the top step time is unchanged.
-	if got := l.ScaleTime(100, l.MaxStep()); math.Abs(got-100) > 1e-9 {
-		t.Errorf("ScaleTime at max = %g, want 100", got)
-	}
-	// At the bottom step time dilates by fmax/fmin = 4.0/2.2.
-	want := 100 * 4.0 / 2.2
-	if got := l.ScaleTime(100, 0); math.Abs(got-want) > 1e-9 {
-		t.Errorf("ScaleTime at min = %g, want %g", got, want)
-	}
-}
-
-func TestStepForTimeRoundTrip(t *testing.T) {
-	l := DefaultCoreLadder()
-	const tMin = 250.0
-	for i := 0; i < l.Len(); i++ {
-		tt := l.ScaleTime(tMin, i)
-		if got := l.StepForTime(tMin, tt); got != i {
-			t.Errorf("StepForTime(ScaleTime(step %d)) = %d", i, got)
-		}
-	}
-	// Degenerate inputs clamp to max step.
-	if got := l.StepForTime(0, 10); got != l.MaxStep() {
-		t.Errorf("StepForTime(0,10) = %d, want max", got)
-	}
-	if got := l.StepForTime(10, 0); got != l.MaxStep() {
-		t.Errorf("StepForTime(10,0) = %d, want max", got)
 	}
 }
 
@@ -251,31 +198,5 @@ func TestNearestIsArgmin(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: FloorNorm(x) frequency never exceeds x·Max (modulo epsilon).
-func TestFloorNormNeverExceeds(t *testing.T) {
-	l := DefaultMemLadder()
-	f := func(raw float64) bool {
-		x := math.Mod(math.Abs(raw), 1.5)
-		step := l.FloorNorm(x)
-		if step == 0 {
-			return true // clamped; nothing to check
-		}
-		return l.Freq(step) <= x*l.Max()+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: ScaleTime is inverse-monotone in step (higher step → shorter time).
-func TestScaleTimeMonotone(t *testing.T) {
-	l := DefaultCoreLadder()
-	for i := 1; i < l.Len(); i++ {
-		if l.ScaleTime(100, i) >= l.ScaleTime(100, i-1) {
-			t.Fatalf("ScaleTime not strictly decreasing at step %d", i)
-		}
 	}
 }

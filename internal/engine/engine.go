@@ -227,22 +227,6 @@ func (t *Timer) Reset(delay float64) {
 	e.arm(t.ref, e.now+delay, seq)
 }
 
-// Stop cancels a pending timer, reporting whether it was pending. The
-// timer stays usable: Reset re-arms it. A timer whose callback is
-// currently running is no longer pending. Cancellation burns a fresh
-// sequence number so the queued entry goes stale by seq mismatch.
-func (t *Timer) Stop() bool {
-	e := t.e
-	if t.ref == e.firing || e.keys[t.ref].at == posInf {
-		return false
-	}
-	e.settle()
-	e.keys[t.ref] = key{at: posInf, seq: e.seq}
-	e.seq++
-	e.live--
-	return true
-}
-
 // Pending reports whether the timer is currently scheduled.
 func (t *Timer) Pending() bool {
 	return t.ref != t.e.firing && t.e.keys[t.ref].at != posInf

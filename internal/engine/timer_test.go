@@ -53,31 +53,6 @@ func TestTimerResetReschedules(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	e := New()
-	fired := false
-	tm := e.NewTimer(func() { fired = true })
-	if tm.Stop() {
-		t.Error("Stop on idle timer reported pending")
-	}
-	tm.Reset(5)
-	if !tm.Stop() {
-		t.Error("Stop on armed timer reported idle")
-	}
-	e.RunUntil(10)
-	if fired {
-		t.Error("stopped timer fired")
-	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after stop", e.Pending())
-	}
-	tm.Reset(5) // still usable
-	e.RunUntil(20)
-	if !fired {
-		t.Error("re-armed timer did not fire")
-	}
-}
-
 func TestTimerSelfResetInCallback(t *testing.T) {
 	e := New()
 	count := 0
@@ -143,33 +118,5 @@ func TestTimerResetDoesNotAllocate(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state timer loop allocates %.1f per run, want 0", avg)
-	}
-}
-
-func TestStopThenRunKeepsOrder(t *testing.T) {
-	e := New()
-	var order []int
-	timers := make([]*Timer, 10)
-	for i := range timers {
-		i := i
-		timers[i] = e.NewTimer(func() { order = append(order, i) })
-		timers[i].Reset(float64(10 + i%3)) // mixed instants
-	}
-	timers[4].Stop()
-	timers[7].Stop()
-	e.RunUntil(20)
-	if len(order) != 8 {
-		t.Fatalf("fired %d, want 8: %v", len(order), order)
-	}
-	// Within the same instant, arming order is preserved.
-	seen := map[int]bool{}
-	for _, v := range order {
-		if v == 4 || v == 7 {
-			t.Fatalf("stopped timer %d fired", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("duplicate fires: %v", order)
 	}
 }

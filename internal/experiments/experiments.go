@@ -39,7 +39,8 @@ type Options struct {
 	// steady-state behaviour is unchanged, wall-clock cost is 5× lower —
 	// pass 5e6 to match the paper exactly).
 	EpochNs float64
-	// ProfileNs is the profiling window. Default EpochNs/10.
+	// ProfileNs is the profiling window. Default
+	// sim.ProfileWindowNs(EpochNs): a tenth, capped at 300 µs.
 	ProfileNs float64
 	// MixesPerClass bounds how many Table III mixes represent each class
 	// in the multi-configuration sweeps (Figs. 12–13). Default 2.
@@ -63,7 +64,7 @@ func (o Options) withDefaults() Options {
 		o.EpochNs = 1e6
 	}
 	if o.ProfileNs <= 0 {
-		o.ProfileNs = o.EpochNs / 10
+		o.ProfileNs = sim.ProfileWindowNs(o.EpochNs)
 	}
 	if o.MixesPerClass <= 0 {
 		o.MixesPerClass = 2

@@ -470,9 +470,6 @@ func (c *Controller) PeakPower() float64 {
 	return c.power.StaticW + c.power.ClockW + c.power.TransferW
 }
 
-// StaticPower exposes the frequency-independent floor for the fitters.
-func (c *Controller) StaticPower() float64 { return c.power.StaticW }
-
 // QueuedRequests reports the total number of requests resident in the
 // controller. A request stays in its bank queue from Submit until its
 // bus transfer completes (the bus queue holds aliases, not extra

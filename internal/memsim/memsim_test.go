@@ -257,9 +257,6 @@ func TestPowerModel(t *testing.T) {
 	if got := c.Power(Counters{}, 0); got != 10 {
 		t.Errorf("zero window power = %g, want static", got)
 	}
-	if c.StaticPower() != 10 {
-		t.Errorf("StaticPower = %g", c.StaticPower())
-	}
 }
 
 func TestRequestConservationUnderLoad(t *testing.T) {

@@ -79,21 +79,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments the gauge by d (CAS loop; contention on a gauge is a
-// design smell, so the loop is expected to win first try).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value (0 for a nil Gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {

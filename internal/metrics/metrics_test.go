@@ -152,7 +152,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(2)
 	h.Observe(3)
 	cv.With("a").Inc()
 	gv.With("a").Set(1)
@@ -191,25 +190,6 @@ func TestDuplicateAndMismatchedLabelsPanic(t *testing.T) {
 	}()
 }
 
-func TestGaugeAddConcurrent(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("x", "d.")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				g.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if g.Value() != 8000 {
-		t.Errorf("Gauge.Add lost updates: %g, want 8000", g.Value())
-	}
-}
-
 // Concurrent scrapes against concurrent updates must be race-clean and
 // always produce parseable output (this test's teeth come from -race).
 func TestConcurrentScrape(t *testing.T) {
@@ -230,7 +210,7 @@ func TestConcurrentScrape(t *testing.T) {
 			default:
 				c.Inc()
 				h.Observe(0.01)
-				a.Add(0.5)
+				a.Set(0.5)
 			}
 		}
 	}()

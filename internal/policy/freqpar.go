@@ -30,9 +30,6 @@ func NewFreqPar() *FreqPar { return &FreqPar{Gain: 0.8, quota: -1} }
 // Name implements Policy.
 func (p *FreqPar) Name() string { return "Freq-Par" }
 
-// Reset clears controller state between runs.
-func (p *FreqPar) Reset() { p.quota = -1 }
-
 // Decide implements Policy.
 func (p *FreqPar) Decide(s *Snapshot) (Decision, error) {
 	if err := s.Validate(); err != nil {

@@ -211,21 +211,6 @@ func TestFreqParFeedbackConverges(t *testing.T) {
 	}
 }
 
-func TestFreqParReset(t *testing.T) {
-	p := NewFreqPar()
-	s := snap(4, 0.6)
-	if _, err := p.Decide(s); err != nil {
-		t.Fatal(err)
-	}
-	if p.quota < 0 {
-		t.Fatal("quota not initialized")
-	}
-	p.Reset()
-	if p.quota >= 0 {
-		t.Error("Reset did not clear quota")
-	}
-}
-
 func TestEqlPwrStarvesHungryCores(t *testing.T) {
 	// With one very hungry core and the rest light, equal shares leave
 	// the hungry core slow even though the light cores cannot use their

@@ -35,9 +35,6 @@ func (m Model) At(x float64) float64 {
 	return m.Scale*math.Pow(x, m.Exp) + m.Static
 }
 
-// Dynamic returns only the frequency-dependent portion at x.
-func (m Model) Dynamic(x float64) float64 { return m.At(x) - m.Static }
-
 // DynamicSlope is the kernel of the optimizer's fused power sweep: for a
 // normalized frequency strictly inside (0, 1) it returns the dynamic
 // term w = Scale·x^Exp and its log-slope x·dw/dx = Exp·w, which a caller
@@ -122,9 +119,6 @@ func NewMemFitter(static, peakGuess float64) *Fitter {
 		expHi:    2.0,
 	}
 }
-
-// Static returns the fixed static power used by this fitter.
-func (f *Fitter) Static() float64 { return f.static }
 
 // Observe records a measured total power at normalized frequency x.
 // Non-positive dynamic residuals (total below static) and out-of-range x
@@ -218,10 +212,6 @@ func (f *Fitter) Model() Model {
 	return m
 }
 
-// Reset drops the observation history (used when an application phase
-// change makes old samples unrepresentative).
-func (f *Fitter) Reset() { f.history = f.history[:0] }
-
 // System aggregates the full-system power model FastCap optimizes over:
 // per-core models, one memory model, and the frequency-independent rest
 // of the system P_s (paper §III-A: disks, NICs, L2, controller static).
@@ -229,16 +219,6 @@ type System struct {
 	Cores []Model
 	Mem   Model
 	Ps    float64
-}
-
-// Total evaluates full-system power for normalized core frequencies x
-// (one per core) and normalized memory frequency xm.
-func (s *System) Total(x []float64, xm float64) float64 {
-	sum := s.Ps + s.Mem.At(xm)
-	for i, m := range s.Cores {
-		sum += m.At(x[i])
-	}
-	return sum
 }
 
 // Peak returns full-system power with every component at maximum

@@ -1,7 +1,7 @@
 // Package qmodel implements the closed-network queuing abstractions at
 // the heart of FastCap (paper §III-A): the memory response-time
-// approximation R(s_b) ≈ Q·(s_m + U·s_b) (Eq. 1), per-core turn-around
-// times, and the weighted multi-controller generalization used in §IV-B.
+// approximation R(s_b) ≈ Q·(s_m + U·s_b) (Eq. 1) and the weighted
+// multi-controller generalization used in §IV-B.
 //
 // It also provides an exact single-class Mean Value Analysis solver for
 // the corresponding closed queuing network *without* transfer blocking,
@@ -10,10 +10,7 @@
 // Times are in nanoseconds throughout.
 package qmodel
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // MemStats captures the per-controller queue statistics FastCap reads
 // from the memory controller's performance counters each epoch:
@@ -60,11 +57,6 @@ func (m MemStats) Clamp(smFloor float64) MemStats {
 	return c
 }
 
-// Turnaround is the paper's performance metric: the mean time between
-// two successive memory accesses of a core, z + c + R (Fig. 2). A core
-// executing think time z at frequency f out of fmax has z = z̄·fmax/f.
-func Turnaround(z, c, r float64) float64 { return z + c + r }
-
 // Multi models multiple memory controllers running at a common bus
 // frequency but with independent queue statistics, as in §IV-B
 // ("Multiple memory controllers"). Access[i][k] is the probability that
@@ -72,44 +64,6 @@ func Turnaround(z, c, r float64) float64 { return z + c + r }
 type Multi struct {
 	Stats  []MemStats
 	Access [][]float64
-}
-
-// NewUniformMulti builds a Multi where every core spreads its accesses
-// uniformly over all controllers.
-func NewUniformMulti(stats []MemStats, cores int) *Multi {
-	k := len(stats)
-	acc := make([][]float64, cores)
-	for i := range acc {
-		row := make([]float64, k)
-		for j := range row {
-			row[j] = 1.0 / float64(k)
-		}
-		acc[i] = row
-	}
-	return &Multi{Stats: stats, Access: acc}
-}
-
-// Validate checks shape and probability invariants.
-func (mc *Multi) Validate() error {
-	if len(mc.Stats) == 0 {
-		return fmt.Errorf("qmodel: no controllers")
-	}
-	for i, row := range mc.Access {
-		if len(row) != len(mc.Stats) {
-			return fmt.Errorf("qmodel: core %d has %d access probs, want %d", i, len(row), len(mc.Stats))
-		}
-		sum := 0.0
-		for _, p := range row {
-			if p < -1e-9 {
-				return fmt.Errorf("qmodel: core %d has negative access probability", i)
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			return fmt.Errorf("qmodel: core %d access probabilities sum to %g", i, sum)
-		}
-	}
-	return nil
 }
 
 // CoreResponse returns the response time experienced by core i at bus
@@ -122,12 +76,6 @@ func (mc *Multi) CoreResponse(core int, sb float64) float64 {
 		r += row[k] * s.Response(sb)
 	}
 	return r
-}
-
-// ResponseFunc returns a closure computing CoreResponse for a fixed core,
-// convenient for handing per-core response curves to the optimizer.
-func (mc *Multi) ResponseFunc(core int) func(sb float64) float64 {
-	return func(sb float64) float64 { return mc.CoreResponse(core, sb) }
 }
 
 // MVA solves a closed single-class queuing network with one delay
@@ -169,19 +117,4 @@ func MVA(n int, z float64, nBanks int, sm, sb float64) (resp, throughput float64
 		}
 	}
 	return resp, throughput
-}
-
-// BoundedThroughput returns the asymptotic throughput bounds of the
-// closed network: min(1/bottleneck demand, n/(z + demand sum)). Used in
-// property tests to bracket simulator measurements.
-func BoundedThroughput(n int, z float64, nBanks int, sm, sb float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	// Per-request demand at each bank is sm/nBanks overall; bottleneck is
-	// the bus (demand sb per request) or a single bank (sm per request at
-	// 1/nBanks of the traffic).
-	bottleneck := math.Max(sb, sm/float64(nBanks))
-	light := float64(n) / (z + sm + sb)
-	return math.Min(1/bottleneck, light)
 }

@@ -51,21 +51,12 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestTurnaround(t *testing.T) {
-	if got := Turnaround(100, 7.5, 40); got != 147.5 {
-		t.Errorf("Turnaround = %g", got)
-	}
-}
-
 func TestMultiUniform(t *testing.T) {
 	stats := []MemStats{
 		{Q: 1, U: 1, Sm: 20},
 		{Q: 3, U: 2, Sm: 30},
 	}
-	mc := NewUniformMulti(stats, 4)
-	if err := mc.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	mc := &Multi{Stats: stats, Access: [][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}}}
 	// Uniform: core response is the average of the two controllers.
 	sb := 5.0
 	want := 0.5*stats[0].Response(sb) + 0.5*stats[1].Response(sb)
@@ -73,10 +64,6 @@ func TestMultiUniform(t *testing.T) {
 		if got := mc.CoreResponse(i, sb); math.Abs(got-want) > 1e-12 {
 			t.Errorf("core %d response = %g, want %g", i, got, want)
 		}
-	}
-	f := mc.ResponseFunc(2)
-	if got := f(sb); math.Abs(got-want) > 1e-12 {
-		t.Errorf("ResponseFunc = %g, want %g", got, want)
 	}
 }
 
@@ -92,9 +79,6 @@ func TestMultiSkewed(t *testing.T) {
 			{0.0, 1.0},
 		},
 	}
-	if err := mc.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	sb := 10.0
 	if got := mc.CoreResponse(0, sb); got != stats[0].Response(sb) {
 		t.Errorf("core 0 sees %g, want controller 0 only", got)
@@ -105,33 +89,6 @@ func TestMultiSkewed(t *testing.T) {
 	// Core 1's controller is hotter → higher response.
 	if mc.CoreResponse(1, sb) <= mc.CoreResponse(0, sb) {
 		t.Error("skew not reflected in responses")
-	}
-}
-
-func TestMultiValidateErrors(t *testing.T) {
-	if err := (&Multi{}).Validate(); err == nil {
-		t.Error("empty Multi validated")
-	}
-	bad := &Multi{
-		Stats:  []MemStats{{Q: 1, U: 1, Sm: 1}},
-		Access: [][]float64{{0.5, 0.5}}, // wrong width
-	}
-	if err := bad.Validate(); err == nil {
-		t.Error("shape mismatch validated")
-	}
-	bad2 := &Multi{
-		Stats:  []MemStats{{Q: 1, U: 1, Sm: 1}, {Q: 1, U: 1, Sm: 1}},
-		Access: [][]float64{{0.7, 0.7}}, // sums to 1.4
-	}
-	if err := bad2.Validate(); err == nil {
-		t.Error("bad probability sum validated")
-	}
-	bad3 := &Multi{
-		Stats:  []MemStats{{Q: 1, U: 1, Sm: 1}, {Q: 1, U: 1, Sm: 1}},
-		Access: [][]float64{{1.5, -0.5}},
-	}
-	if err := bad3.Validate(); err == nil {
-		t.Error("negative probability validated")
 	}
 }
 
@@ -185,19 +142,6 @@ func TestMVALightLoadMatchesNoQueueing(t *testing.T) {
 	r, _ := MVA(16, 1e9, 8, 30, 5)
 	if math.Abs(r-35) > 0.1 {
 		t.Errorf("light-load response = %g, want ≈35", r)
-	}
-}
-
-func TestBoundedThroughput(t *testing.T) {
-	// MVA throughput never exceeds the analytic bound.
-	for _, n := range []int{1, 4, 16, 64} {
-		_, x := MVA(n, 100, 8, 30, 5)
-		if b := BoundedThroughput(n, 100, 8, 30, 5); x > b+1e-9 {
-			t.Errorf("n=%d: MVA throughput %g exceeds bound %g", n, x, b)
-		}
-	}
-	if BoundedThroughput(0, 1, 1, 1, 1) != 0 {
-		t.Error("zero population bound must be 0")
 	}
 }
 

@@ -93,26 +93,3 @@ func WriteCSV(w io.Writer, headers []string, rows [][]string) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// SeriesCSV writes aligned time series: the first column is x (assumed
-// shared), then one column per named series. Series shorter than the
-// longest leave blanks.
-func SeriesCSV(w io.Writer, xName string, names []string, xs []float64, ys [][]float64) error {
-	if len(names) != len(ys) {
-		return fmt.Errorf("report: %d names for %d series", len(names), len(ys))
-	}
-	headers := append([]string{xName}, names...)
-	var rows [][]string
-	for i, x := range xs {
-		row := []string{F(x, 0)}
-		for _, y := range ys {
-			if i < len(y) {
-				row = append(row, F(y[i], 5))
-			} else {
-				row = append(row, "")
-			}
-		}
-		rows = append(rows, row)
-	}
-	return WriteCSV(w, headers, rows)
-}

@@ -64,31 +64,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Errorf("CSV = %q, want %q", b.String(), want)
 	}
 }
-
-func TestSeriesCSV(t *testing.T) {
-	var b strings.Builder
-	err := SeriesCSV(&b, "epoch", []string{"p50", "p60"},
-		[]float64{0, 1, 2},
-		[][]float64{{0.5, 0.51, 0.49}, {0.6, 0.61}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	if lines[0] != "epoch,p50,p60" {
-		t.Errorf("header = %q", lines[0])
-	}
-	// Short series leaves a blank cell.
-	if !strings.HasSuffix(lines[3], ",") {
-		t.Errorf("missing blank for short series: %q", lines[3])
-	}
-}
-
-func TestSeriesCSVShapeMismatch(t *testing.T) {
-	var b strings.Builder
-	if err := SeriesCSV(&b, "x", []string{"one"}, nil, [][]float64{{1}, {2}}); err == nil {
-		t.Error("shape mismatch accepted")
-	}
-}

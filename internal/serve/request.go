@@ -293,10 +293,7 @@ func (r Request) Config() (runner.Config, error) {
 	}
 	sc := sim.DefaultConfig(r.Cores)
 	sc.EpochNs = r.EpochMs * 1e6
-	sc.ProfileNs = sc.EpochNs / 10
-	if sc.ProfileNs > 3e5 {
-		sc.ProfileNs = 3e5 // the paper's 300 µs profiling phase
-	}
+	sc.ProfileNs = sim.ProfileWindowNs(sc.EpochNs)
 	sc.OoO = r.OoO
 	sc.Seed = r.Seed
 	if r.Controllers > 1 {

@@ -145,8 +145,6 @@ type MachineLayout struct {
 	// apps is the explicit per-core placement, nil when the workload mix
 	// supplies the layout.
 	apps []string
-	// classOf[i] names core i's class ("" on a machine without a spec).
-	classOf []string
 }
 
 // Layout resolves the config's machine description to per-core terms.
@@ -162,7 +160,6 @@ func (c Config) Layout() (*MachineLayout, error) {
 		ladders:  make([]*dvfs.Ladder, n),
 		powers:   make([]cpusim.PowerConfig, n),
 		cpiScale: make([]float64, n),
-		classOf:  make([]string, n),
 	}
 	classes := []CoreClass{{Count: n}}
 	if c.Machine != nil {
@@ -193,7 +190,6 @@ func (c Config) Layout() (*MachineLayout, error) {
 			l.ladders[core] = ladder
 			l.powers[core] = pw
 			l.cpiScale[core] = scale
-			l.classOf[core] = cl.Name
 			if len(cl.Apps) > 0 {
 				placement = append(placement, cl.Apps[k%len(cl.Apps)])
 			}
@@ -216,13 +212,6 @@ func (l *MachineLayout) Power(i int) cpusim.PowerConfig { return l.powers[i] }
 
 // ExecCPIScale returns core i's microarchitectural CPI factor.
 func (l *MachineLayout) ExecCPIScale(i int) float64 { return l.cpiScale[i] }
-
-// Class returns core i's class name ("" on a machine without a spec).
-func (l *MachineLayout) Class(i int) string { return l.classOf[i] }
-
-// Placement returns the explicit per-core application list, or nil
-// when the workload mix supplies the layout.
-func (l *MachineLayout) Placement() []string { return l.apps }
 
 // Workload instantiates the machine's workload: the explicit placement
 // when the spec pins apps to classes, otherwise the mix's N/4 layout.

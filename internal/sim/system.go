@@ -90,6 +90,16 @@ func DefaultConfig(n int) Config {
 	}
 }
 
+// ProfileWindowNs is the profiling window of an epochNs-long epoch: a
+// tenth of the epoch, capped at the paper's 300 µs profiling phase.
+func ProfileWindowNs(epochNs float64) float64 {
+	w := epochNs / 10
+	if w > 3e5 {
+		w = 3e5
+	}
+	return w
+}
+
 // System is an instantiated machine running one workload.
 type System struct {
 	Cfg Config
@@ -201,13 +211,6 @@ func New(cfg Config, wl *workload.Workload) (*System, error) {
 // AccessProb returns the per-core controller access distribution
 // ([core][controller]), which policies use for weighted response times.
 func (s *System) AccessProb() [][]float64 { return s.accessProb }
-
-// Layout exposes the machine's per-core resolution — the class seam
-// (ladders, power calibrations, placement) the controller consumes.
-func (s *System) Layout() *MachineLayout { return s.layout }
-
-// Epoch returns the index of the epoch currently executing.
-func (s *System) Epoch() int { return s.epoch }
 
 // Start launches all cores and applies epoch-0 phases.
 func (s *System) Start() {
@@ -399,6 +402,3 @@ func (s *System) PeakPowerW() float64 {
 
 // SbBarNs returns the minimum bus transfer time s̄_b.
 func (s *System) SbBarNs() float64 { return s.Ctls[0].MinTransferTime() }
-
-// MemFreqGHz returns the current memory bus frequency.
-func (s *System) MemFreqGHz() float64 { return s.Ctls[0].BusFreq() }

@@ -108,8 +108,8 @@ func TestEpochProtocolAndCounters(t *testing.T) {
 	if rest.WindowNs != cfg.EpochNs-cfg.ProfileNs {
 		t.Errorf("rest window %g", rest.WindowNs)
 	}
-	if sys.Epoch() != 1 {
-		t.Errorf("epoch = %d, want 1", sys.Epoch())
+	if sys.epoch != 1 {
+		t.Errorf("epoch = %d, want 1", sys.epoch)
 	}
 	// Lower frequencies → lower power in the rest window than profile.
 	if rest.TotalPowerW >= prof.TotalPowerW {
@@ -174,7 +174,7 @@ func TestMemFrequencyPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Start()
-	if got := sys.MemFreqGHz(); math.Abs(got-0.8) > 1e-9 {
+	if got := sys.Ctls[0].BusFreq(); math.Abs(got-0.8) > 1e-9 {
 		t.Errorf("initial mem freq %g", got)
 	}
 	if got := sys.SbBarNs(); math.Abs(got-5.0) > 1e-9 {
@@ -184,7 +184,7 @@ func TestMemFrequencyPlumbing(t *testing.T) {
 	if err := sys.Apply([]int{9, 9, 9, 9}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.MemFreqGHz(); math.Abs(got-0.2) > 1e-9 {
+	if got := sys.Ctls[0].BusFreq(); math.Abs(got-0.2) > 1e-9 {
 		t.Errorf("mem freq after Apply = %g, want 0.2", got)
 	}
 }
@@ -327,5 +327,17 @@ func TestDeterministicRuns(t *testing.T) {
 	p2, i2 := run()
 	if p1 != p2 || i1 != i2 {
 		t.Errorf("runs diverged: (%g,%g) vs (%g,%g)", p1, i1, p2, i2)
+	}
+}
+
+// The profiling window is a tenth of the epoch up to the paper's 300 µs:
+// a 5 ms epoch profiles over 300 µs, not 500.
+func TestProfileWindowNs(t *testing.T) {
+	for _, c := range []struct{ epoch, want float64 }{
+		{1e5, 1e4}, {1e6, 1e5}, {3e6, 3e5}, {5e6, 3e5}, {2e7, 3e5},
+	} {
+		if got := ProfileWindowNs(c.epoch); got != c.want {
+			t.Errorf("ProfileWindowNs(%g) = %g, want %g", c.epoch, got, c.want)
+		}
 	}
 }

@@ -42,20 +42,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile by linear interpolation.
 // Out-of-range ranks clamp — p < 0 behaves as 0 (the minimum) and
 // p > 100 as 100 (the maximum) — never extrapolating beyond the data.

@@ -25,18 +25,6 @@ func TestMeanMaxMin(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("constant StdDev = %g", got)
-	}
-	if got := StdDev([]float64{1, 3}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("StdDev = %g, want 1", got)
-	}
-	if StdDev([]float64{1}) != 0 {
-		t.Error("singleton StdDev != 0")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	cases := []struct{ p, want float64 }{

@@ -2,69 +2,33 @@ package stats
 
 import "math"
 
-// Streaming is an O(1)-memory online summary: count, sum, extremes, and
-// Welford-updated mean/variance. It exists for long-running telemetry
-// (the metrics histograms observe every epoch of a daemon that may run
-// for days) where keeping raw samples for Percentile would grow without
+// Streaming is an O(1)-memory online summary: count, sum, maximum and
+// Welford-updated mean. It exists for long-running telemetry (the
+// metrics histograms observe every epoch of a daemon that may run for
+// days) where keeping raw samples for Percentile would grow without
 // bound. The zero value is an empty summary, ready to use.
 //
-// Numerics: Welford's recurrence keeps the variance update numerically
-// stable (no catastrophic cancellation of sum-of-squares minus
-// squared-sum), and every update is O(1). A NaN observation poisons
-// Sum/Mean/StdDev — like Percentile, any numeric answer over NaN data
-// would be silently wrong — while Count keeps counting.
+// Numerics: every update is O(1). A NaN observation poisons Sum/Mean —
+// like Percentile, any numeric answer over NaN data would be silently
+// wrong — while Count keeps counting.
 //
 // Streaming is not goroutine-safe; callers that share one (the metrics
 // histogram) serialize access themselves.
 type Streaming struct {
-	n        uint64
-	sum      float64
-	min, max float64
-	mean, m2 float64
+	n    uint64
+	sum  float64
+	max  float64
+	mean float64
 }
 
 // Observe folds one sample into the summary.
 func (s *Streaming) Observe(x float64) {
 	s.n++
 	s.sum += x
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	if s.n == 1 || x > s.max {
+		s.max = x
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// Merge folds another summary into this one (Chan et al.'s parallel
-// variance combination), so per-worker summaries can be reduced without
-// revisiting samples.
-func (s *Streaming) Merge(o Streaming) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.mean += d * float64(o.n) / float64(n)
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.sum += o.sum
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
+	s.mean += (x - s.mean) / float64(s.n)
 }
 
 // Count returns the number of samples observed.
@@ -82,15 +46,6 @@ func (s Streaming) Mean() float64 {
 	return s.mean
 }
 
-// Min returns the minimum, or +Inf when empty (matching the batch
-// stats.Min).
-func (s Streaming) Min() float64 {
-	if s.n == 0 {
-		return math.Inf(1)
-	}
-	return s.min
-}
-
 // Max returns the maximum, or -Inf when empty (matching the batch
 // stats.Max).
 func (s Streaming) Max() float64 {
@@ -98,15 +53,6 @@ func (s Streaming) Max() float64 {
 		return math.Inf(-1)
 	}
 	return s.max
-}
-
-// StdDev returns the population standard deviation, 0 for fewer than
-// two samples (matching the batch stats.StdDev).
-func (s Streaming) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n))
 }
 
 // BucketIndex returns the index of the first bound with x <= bound, or

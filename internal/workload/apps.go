@@ -122,12 +122,3 @@ func Lookup(name string) (AppProfile, error) {
 	}
 	return p, nil
 }
-
-// Names returns every registered application name (unordered).
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	return out
-}

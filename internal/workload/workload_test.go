@@ -21,8 +21,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRegistryPlausibleProfiles(t *testing.T) {
-	for _, name := range Names() {
-		p, _ := Lookup(name)
+	for name, p := range registry {
 		if p.MemWeight <= 0 {
 			t.Errorf("%s: non-positive MemWeight", name)
 		}

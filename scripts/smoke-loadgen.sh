@@ -3,8 +3,8 @@
 # 16 concurrent closed-loop session lifecycles plus 2 cluster-group
 # workers, then assert the report is clean (zero errors), made forward
 # progress (nonzero epochs/sec), and carries latency percentiles. This
-# is the capacity harness's own smoke test: if it fails, the bench.sh
-# capacity rows cannot be trusted either.
+# is the capacity harness's own smoke test: if it fails, no capacity
+# number measured with fastcap-loadgen can be trusted either.
 #
 # Usage: scripts/smoke-loadgen.sh [port]
 set -eu
